@@ -167,7 +167,8 @@ def _poisson_window(half_lam, ctl: SeriesControl):
 
 
 def _reg_beta_table(x, a0, b0, nj, nk):
-    """I_x(a0 + j, b0 + k) for j < nj, k < nk.
+    """I_x(a0 + j, b0 + k) for j < nj, k < nk, as a C-contiguous
+    (nj, nk) array.
 
     Built from one betainc corner and the two single-step identities
 
@@ -176,30 +177,56 @@ def _reg_beta_table(x, a0, b0, nj, nk):
 
     with every step term formed in the log domain. Costs two cumsums
     instead of nj * nk betainc calls.
+
+    The k-steps are laid out transposed, row t and column j, in one
+    (nk, nj) buffer whose row 0 is the j-column, so the running sums
+    over k are whole-row adds down axis 0. Every entry still comes from
+    the same operations in the same order as a j-major build: the
+    log-terms are summed left to right, exp runs on contiguous memory,
+    each row's cumsum over the step terms alone is taken before the
+    column value is added, and the matrix product sees the C-contiguous
+    copy. The bits are therefore those of the j-major table.
     """
     la = math.log(x)
     lb = math.log1p(-x)
     corner = float(_sp.betainc(a0, b0, x))
-    col = np.empty(nj)
+    buf = np.empty((nk, nj))
+    col = buf[0]
     col[0] = corner
     if nj > 1:
         j = np.arange(nj - 1, dtype=float)
         lt = ((a0 + j) * la + b0 * lb + _sp.gammaln(a0 + j + b0)
               - _sp.gammaln(a0 + j + 1.0) - _sp.gammaln(b0))
         col[1:] = corner - np.cumsum(np.exp(lt))
-    if nk == 1:
-        return np.clip(col[:, None], 0.0, 1.0)
-    j = np.arange(nj, dtype=float)[:, None]
-    t = np.arange(nk - 1, dtype=float)[None, :]
-    # gammaln(a0 + b0 + j + t) read out of one 1-D array via windows
-    s = _sp.gammaln(a0 + b0 + np.arange(nj + nk - 2, dtype=float))
-    hank = np.lib.stride_tricks.sliding_window_view(s, nk - 1)
-    lt = ((a0 + j) * la + (b0 + t) * lb + hank[:nj]
-          - _sp.gammaln(a0 + j) - _sp.gammaln(b0 + t + 1.0))
-    out = np.empty((nj, nk))
-    out[:, 0] = col
-    out[:, 1:] = col[:, None] + np.cumsum(np.exp(lt), axis=1)
-    return np.clip(out, 0.0, 1.0)
+    if nk > 1:
+        j = np.arange(nj, dtype=float)
+        t = np.arange(nk - 1, dtype=float)[:, None]
+        # gammaln(a0 + b0 + j + t) read out of one 1-D array via windows
+        s = _sp.gammaln(a0 + b0 + np.arange(nj + nk - 2, dtype=float))
+        hank = np.lib.stride_tricks.sliding_window_view(s, nj)
+        lt = buf[1:]
+        np.add((a0 + j) * la, (b0 + t) * lb, out=lt)
+        lt += hank
+        lt -= _sp.gammaln(a0 + j)
+        lt -= _sp.gammaln(b0 + t + 1.0)
+        np.exp(lt, out=lt)
+        np.cumsum(lt, axis=0, out=lt)
+        lt += col
+    out = np.ascontiguousarray(buf.T)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _f_cdf_series(x, nu1, nu2, win1, win2):
+    """The double series of doubly_noncentral_f_cdf on prebuilt Poisson
+    windows win1 = (jlo, wj) for lam1 / 2 and win2 = (klo, wk) for
+    lam2 / 2."""
+    jlo, wj = win1
+    klo, wk = win2
+    xb = x / (1.0 + x)
+    table = _reg_beta_table(xb, nu1 / 2.0 + jlo, nu2 / 2.0 + klo,
+                            wj.size, wk.size)
+    val = math.fsum(wj * (table @ wk))
+    return min(max(val, 0.0), 1.0)
 
 
 def doubly_noncentral_f_cdf(x, nu1, nu2, lam1, lam2,
@@ -213,13 +240,8 @@ def doubly_noncentral_f_cdf(x, nu1, nu2, lam1, lam2,
         raise ValueError("degrees of freedom must be even and positive")
     if lam1 < 0.0 or lam2 < 0.0:
         raise ValueError("noncentralities must be non-negative")
-    jlo, wj = _poisson_window(lam1 / 2.0, ctl)
-    klo, wk = _poisson_window(lam2 / 2.0, ctl)
-    xb = x / (1.0 + x)
-    table = _reg_beta_table(xb, nu1 / 2.0 + jlo, nu2 / 2.0 + klo,
-                            wj.size, wk.size)
-    val = math.fsum(wj * (table @ wk))
-    return min(max(val, 0.0), 1.0)
+    return _f_cdf_series(x, nu1, nu2, _poisson_window(lam1 / 2.0, ctl),
+                         _poisson_window(lam2 / 2.0, ctl))
 
 
 def exact_ber(p: DetectionParams, ctl: SeriesControl = DEFAULT_CONTROL):
@@ -228,8 +250,11 @@ def exact_ber(p: DetectionParams, ctl: SeriesControl = DEFAULT_CONTROL):
     nu = p.m_sc * p.n_chips
     lam_on = nu * p.h_on_sq / p.noise_power
     lam_off = nu * p.h_off_sq / p.noise_power
-    err0 = doubly_noncentral_f_cdf(1.0, nu, nu, lam_on, lam_off, ctl)
-    err1 = 1.0 - doubly_noncentral_f_cdf(1.0, nu, nu, lam_off, lam_on, ctl)
+    # each window serves both series, one as j-weights, one as k-weights
+    win_on = _poisson_window(lam_on / 2.0, ctl)
+    win_off = _poisson_window(lam_off / 2.0, ctl)
+    err0 = _f_cdf_series(1.0, nu, nu, win_on, win_off)
+    err1 = 1.0 - _f_cdf_series(1.0, nu, nu, win_off, win_on)
     return p.prior_s0 * err0 + (1.0 - p.prior_s0) * err1
 
 
@@ -250,6 +275,20 @@ def fsk_coherent_ber(gamma_b):
     return float(q_func(np.sqrt(gamma_b)))
 
 
+def _params_for_u(u, gamma, m_sc, n_chips) -> DetectionParams:
+    """Detection parameters at link SNR gamma and u = |1+iota|^2, with
+    sigma^2 = 1: h_on^2 = gamma max(u, 1), h_off^2 = gamma min(u, 1).
+
+    Destructive geometries (u < 1) flip the sign of the gain
+    difference; the detector tracks the true sign, so they map to the
+    role-swapped problem.
+    """
+    big, small = (u, 1.0) if u >= 1.0 else (1.0, u)
+    return DetectionParams(m_sc=m_sc, n_chips=n_chips,
+                           h_on_sq=gamma * big, h_off_sq=gamma * small,
+                           noise_power=1.0)
+
+
 def ber_vs_iota(iota, gamma, m_sc, n_chips,
                 ctl: SeriesControl = DEFAULT_CONTROL, engine: str = "exact"):
     """BER as a function of the scatter ratio at link SNR gamma.
@@ -267,11 +306,7 @@ def ber_vs_iota(iota, gamma, m_sc, n_chips,
         raise ValueError("iota must be finite")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    u = abs(1.0 + iota) ** 2
-    big, small = (u, 1.0) if u >= 1.0 else (1.0, u)
-    p = DetectionParams(m_sc=m_sc, n_chips=n_chips,
-                        h_on_sq=gamma * big, h_off_sq=gamma * small,
-                        noise_power=1.0)
+    p = _params_for_u(abs(1.0 + iota) ** 2, gamma, m_sc, n_chips)
     if engine == "gaussian":
         return gaussian_ber(p)
     if engine == "exact":

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .ber_theory import (DetectionParams, SeriesError, exact_ber,
+from .ber_theory import (SeriesError, _params_for_u, exact_ber,
                          fsk_coherent_ber, gaussian_ber)
 from .coverage import (DEFAULT_LEVELS, CoverageScenario, centered_grid,
                        compute_ber_grid, contour_export, range_estimate)
@@ -280,12 +280,8 @@ def cmd_theory(args, out_dir):
     for gdb in args.gamma:
         if args.iota is not None:
             gamma = 10.0 ** (gdb / 10.0)
-            u = abs(1.0 + args.iota) ** 2
-            # destructive ratios swap roles; detectors track the sign
-            big, small = (u, 1.0) if u >= 1.0 else (1.0, u)
-            p = DetectionParams(m_sc=args.msc, n_chips=args.n,
-                                h_on_sq=gamma * big, h_off_sq=gamma * small,
-                                noise_power=1.0)
+            p = _params_for_u(abs(1.0 + args.iota) ** 2, gamma, args.msc,
+                              args.n)
             nm = args.n * args.msc
             gamma_b = (nm * (p.h_on_sq - p.h_off_sq) ** 2
                        / (8.0 * (1.0 + p.h_on_sq + p.h_off_sq)))

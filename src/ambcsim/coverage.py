@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ber_theory import (DEFAULT_CONTROL, DetectionParams, SeriesControl,
-                         SeriesError, exact_ber, iota_magnitude_for_target)
+from .ber_theory import (DEFAULT_CONTROL, SeriesControl, SeriesError,
+                         _params_for_u, exact_ber, iota_magnitude_for_target)
 from .channel import SPEED_OF_LIGHT
 from .specfun import q_func
 
@@ -127,9 +127,11 @@ def compute_ber_grid(sc: CoverageScenario,
                      ctl: SeriesControl = DEFAULT_CONTROL) -> BerGrid:
     """BER over the BD-position grid.
 
-    The gaussian engine is evaluated vectorized; the exact engine runs
-    the series per cell, recording per-cell failures instead of
-    aborting the map.
+    The gaussian engine is evaluated vectorized. The exact engine runs
+    the series once per distinct u = |1+iota|^2 among the non-singular
+    cells and scatters the values back; a u whose series fails leaves
+    NaN in each of its cells and one (i, j, message) entry per cell in
+    errors, in row-major order, instead of aborting the map.
     """
     u, bad = _scatter_fields(sc)
     g = sc.gamma
@@ -142,25 +144,24 @@ def compute_ber_grid(sc: CoverageScenario,
             ber = q_func(np.sqrt(num / den))
         errors = ()
     else:
-        ber = np.empty_like(u)
-        errs = []
-        it = np.nditer(u, flags=["multi_index"])
-        for uv in it:
-            i, j = it.multi_index
-            if bad[i, j]:
-                ber[i, j] = np.nan
-                continue
-            # destructive cells swap roles; detector tracks the true sign
-            big, small = (float(uv), 1.0) if uv >= 1.0 else (1.0, float(uv))
-            p = DetectionParams(m_sc=sc.m_sc, n_chips=sc.n_chips,
-                                h_on_sq=g * big, h_off_sq=g * small,
-                                noise_power=1.0)
+        # BER depends on a cell only through u: one series per distinct
+        # u, scattered back to the cells
+        ok = ~bad
+        uniq, inv = np.unique(u[ok], return_inverse=True)
+        vals = np.empty(uniq.size)
+        msgs = {}
+        for k, uv in enumerate(uniq.tolist()):
+            p = _params_for_u(uv, g, sc.m_sc, sc.n_chips)
             try:
-                ber[i, j] = exact_ber(p, ctl)
+                vals[k] = exact_ber(p, ctl)
             except SeriesError as exc:
-                errs.append((i, j, str(exc)))
-                ber[i, j] = np.nan
-        errors = tuple(errs)
+                msgs[k] = str(exc)
+                vals[k] = np.nan
+        ber = np.full_like(u, np.nan)
+        ber[ok] = vals[inv]
+        errors = tuple((i, j, msgs[k]) for (i, j), k
+                       in zip(np.argwhere(ok).tolist(), inv.tolist())
+                       if k in msgs)
     ber = np.where(bad, np.nan, ber)
     return BerGrid(ber=ber, x_axis=sc.grid.x_axis, y_axis=sc.grid.y_axis,
                    errors=errors)
@@ -222,10 +223,7 @@ def _exact_u_for_target(sc, ber_target, u_guess):
     decreasing in u for u > 1)."""
 
     def ber_at(u):
-        p = DetectionParams(m_sc=sc.m_sc, n_chips=sc.n_chips,
-                            h_on_sq=sc.gamma * u, h_off_sq=sc.gamma,
-                            noise_power=1.0)
-        return exact_ber(p)
+        return exact_ber(_params_for_u(u, sc.gamma, sc.m_sc, sc.n_chips))
 
     lo, hi = 1.0 + 1e-12, max(u_guess, 1.0 + 1e-9)
     for _ in range(100):

@@ -12,7 +12,9 @@ from ambcsim.ber_theory import (
     DetectionParams,
     SeriesControl,
     SeriesError,
+    _params_for_u,
     _poisson_window,
+    _reg_beta_table,
     ber_vs_iota,
     doubly_noncentral_f_cdf,
     exact_ber,
@@ -140,6 +142,60 @@ class TestPoissonWindow:
         assert issubclass(SeriesError, RuntimeError)
 
 
+def _reg_beta_table_j_major(x, a0, b0, nj, nk):
+    """The table as built before its transposed layout, kept verbatim
+    as the bit-level reference."""
+    la = math.log(x)
+    lb = math.log1p(-x)
+    corner = float(sp.betainc(a0, b0, x))
+    col = np.empty(nj)
+    col[0] = corner
+    if nj > 1:
+        j = np.arange(nj - 1, dtype=float)
+        lt = ((a0 + j) * la + b0 * lb + sp.gammaln(a0 + j + b0)
+              - sp.gammaln(a0 + j + 1.0) - sp.gammaln(b0))
+        col[1:] = corner - np.cumsum(np.exp(lt))
+    if nk == 1:
+        return np.clip(col[:, None], 0.0, 1.0)
+    j = np.arange(nj, dtype=float)[:, None]
+    t = np.arange(nk - 1, dtype=float)[None, :]
+    s = sp.gammaln(a0 + b0 + np.arange(nj + nk - 2, dtype=float))
+    hank = np.lib.stride_tricks.sliding_window_view(s, nk - 1)
+    lt = ((a0 + j) * la + (b0 + t) * lb + hank[:nj]
+          - sp.gammaln(a0 + j) - sp.gammaln(b0 + t + 1.0))
+    out = np.empty((nj, nk))
+    out[:, 0] = col
+    out[:, 1:] = col[:, None] + np.cumsum(np.exp(lt), axis=1)
+    return np.clip(out, 0.0, 1.0)
+
+
+class TestRegBetaTable:
+    @pytest.mark.parametrize("x, a0, b0, nj, nk", [
+        (0.5, 4.0, 4.0, 1, 1),
+        (0.5, 4.0, 6.0, 1, 9),
+        (0.5, 6.0, 4.0, 9, 1),
+        (0.3, 2.0, 3.0, 1, 2),
+        (0.5, 50.0, 70.0, 40, 2),
+        (0.5, 7.0, 9.0, 2, 2),
+        (0.5, 120.0, 80.0, 31, 57),
+        (0.7, 80.5, 120.0, 57, 31),
+        (0.5, 5000.0, 5200.0, 1102, 1102),
+        (0.5, 4100.0, 5900.0, 700, 1300),
+    ])
+    def test_bits_match_j_major_build(self, x, a0, b0, nj, nk):
+        got = _reg_beta_table(x, a0, b0, nj, nk)
+        ref = _reg_beta_table_j_major(x, a0, b0, nj, nk)
+        assert got.shape == (nj, nk)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, ref)
+
+    def test_matches_betainc(self):
+        got = _reg_beta_table(0.4, 3.0, 5.0, 6, 7)
+        a = 3.0 + np.arange(6.0)[:, None]
+        b = 5.0 + np.arange(7.0)[None, :]
+        assert np.allclose(got, sp.betainc(a, b, 0.4), rtol=1e-12, atol=0)
+
+
 class TestFCdf:
     def test_central_matches_f_distribution(self):
         # equal dof makes the raw chi-square ratio an F variate
@@ -214,6 +270,21 @@ class TestExactBer:
                                 prior_s0=prior)
             assert exact_ber(p) == pytest.approx(base, abs=1e-12)
 
+    def test_composes_the_two_f_cdfs_bit_for_bit(self):
+        # windows built once per call give the bits of two full F CDFs
+        for gdb, prior in ((0.0, 0.5), (6.0, 0.3), (10.0, 0.8)):
+            p = DetectionParams(m_sc=288, n_chips=4,
+                                h_on_sq=sweep_params(gdb).h_on_sq,
+                                h_off_sq=sweep_params(gdb).h_off_sq,
+                                noise_power=sweep_params(gdb).noise_power,
+                                prior_s0=prior)
+            nu = p.m_sc * p.n_chips
+            lam_on = nu * p.h_on_sq / p.noise_power
+            lam_off = nu * p.h_off_sq / p.noise_power
+            err0 = doubly_noncentral_f_cdf(1.0, nu, nu, lam_on, lam_off)
+            err1 = 1.0 - doubly_noncentral_f_cdf(1.0, nu, nu, lam_off, lam_on)
+            assert exact_ber(p) == prior * err0 + (1.0 - prior) * err1
+
     def test_equal_gains_give_half(self):
         p = DetectionParams(m_sc=24, n_chips=4, h_on_sq=2.0, h_off_sq=2.0,
                             noise_power=1.0)
@@ -283,6 +354,13 @@ class TestBerVsIota:
         assert 1e-3 < got <= 0.5
         g = ber_vs_iota(iota, 10.0, 288, 4, engine="gaussian")
         assert abs(got - g) / got < 0.1
+
+    def test_params_for_u_orders_the_gains(self):
+        up = _params_for_u(1.21, 10.0, 288, 4)
+        down = _params_for_u(0.81, 10.0, 288, 4)
+        assert (up.h_on_sq, up.h_off_sq) == (10.0 * 1.21, 10.0)
+        assert (down.h_on_sq, down.h_off_sq) == (10.0, 10.0 * 0.81)
+        assert (up.m_sc, up.n_chips, up.noise_power) == (288, 4, 1.0)
 
     def test_gaussian_monotone_in_magnitude(self):
         vals = [ber_vs_iota(i, 10.0, 288, 4, engine="gaussian")

@@ -5,13 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from ambcsim.ber_theory import ber_vs_iota
+from ambcsim.ber_theory import (DetectionParams, SeriesControl, SeriesError,
+                                ber_vs_iota, exact_ber)
 from ambcsim.channel import LinkGeometry, scatter_ratio
 from ambcsim.coverage import (
     DEFAULT_LEVELS,
     BerGrid,
     CoverageScenario,
     GridSpec,
+    _scatter_fields,
     centered_grid,
     compute_ber_grid,
     contour_export,
@@ -127,7 +129,6 @@ class TestBerGrid:
         assert float(rel.max()) < 0.10
 
     def test_exact_engine_records_series_failures(self):
-        from ambcsim.ber_theory import SeriesControl
         sc = default_scenario(gamma=1e9, engine="exact",
                               grid=centered_grid((0.0, 0.0), 0.5, 3))
         out = compute_ber_grid(sc, SeriesControl(rel_tol=1e-12,
@@ -136,6 +137,58 @@ class TestBerGrid:
         i, j, msg = out.errors[0]
         assert np.isnan(out.ber[i, j])
         assert "max_terms" in msg
+
+
+def per_cell_exact(sc: CoverageScenario, ctl=SeriesControl()):
+    """The exact map by one exact_ber call per non-singular cell, in
+    row-major order, with the destructive role swap spelled out."""
+    u, bad = _scatter_fields(sc)
+    ber = np.full(u.shape, np.nan)
+    errors = []
+    for i in range(u.shape[0]):
+        for j in range(u.shape[1]):
+            if bad[i, j]:
+                continue
+            uv = float(u[i, j])
+            big, small = (uv, 1.0) if uv >= 1.0 else (1.0, uv)
+            p = DetectionParams(m_sc=sc.m_sc, n_chips=sc.n_chips,
+                                h_on_sq=sc.gamma * big,
+                                h_off_sq=sc.gamma * small, noise_power=1.0)
+            try:
+                ber[i, j] = exact_ber(p, ctl)
+            except SeriesError as exc:
+                errors.append((i, j, str(exc)))
+    return ber, tuple(errors)
+
+
+class TestExactGridDedup:
+    """The exact engine runs once per distinct u and scatters back; the
+    map must be bit-identical to a per-cell loop."""
+
+    def test_default_16x16_matches_per_cell_loop(self):
+        sc = default_scenario(engine="exact",
+                              grid=centered_grid((0.0, 0.0), 2.0, 16))
+        u, bad = _scatter_fields(sc)
+        # the mirror symmetry about the UE-BS axis repeats u
+        assert np.unique(u[~bad]).size < np.count_nonzero(~bad)
+        out = compute_ber_grid(sc)
+        ref, ref_errors = per_cell_exact(sc)
+        assert np.array_equal(out.ber, ref, equal_nan=True)
+        assert out.errors == ref_errors == ()
+
+    def test_repeated_failing_u_lists_every_cell(self):
+        sc = default_scenario(gamma=1e9, engine="exact",
+                              grid=centered_grid((0.0, 0.0), 0.5, 5))
+        ctl = SeriesControl(rel_tol=1e-12, max_terms=50)
+        u, bad = _scatter_fields(sc)
+        out = compute_ber_grid(sc, ctl)
+        ref, ref_errors = per_cell_exact(sc, ctl)
+        failed_u = [u[i, j] for i, j, _ in ref_errors]
+        assert len(set(failed_u)) < len(failed_u)
+        assert out.errors == ref_errors
+        cells = [(i, j) for i, j, _ in out.errors]
+        assert cells == sorted(set(cells))
+        assert np.array_equal(out.ber, ref, equal_nan=True)
 
 
 class TestContours:
