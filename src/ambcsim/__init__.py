@@ -17,9 +17,9 @@ from .lte_grid import (EnergySample, SrsConfig, SrsSymbol, default_config,
                        energy_statistic_direct, energy_stream, gen_srs_symbol,
                        receive_symbol)
 from .modem import (BARKER7, DETECTOR_KINDS, FRAME_BITS, PAYLOAD_BITS,
-                    SCHEMES, SYNC_BITS, Frame, SymbolAlphabet,
-                    demodulate_stream, detect, encode_bits, encode_frame,
-                    frame_sync, make_alphabet, make_frame)
+                    SCHEMES, SYNC_BITS, SymbolAlphabet, demodulate_stream,
+                    detect, encode_bits, encode_frame, frame_sync,
+                    make_alphabet)
 from .montecarlo import (BerPoint, DisagreementCount, PacketRecord,
                          SweepConfig, channel_for_snr, compare_receivers,
                          measurement_config, replicate_measurement,
@@ -30,7 +30,7 @@ __all__ = [
     "__version__",
     "BARKER7", "BerGrid", "BerPoint", "ChannelSet", "ContourLine",
     "CoverageScenario", "DETECTOR_KINDS", "DetectionParams",
-    "DisagreementCount", "EnergySample", "FRAME_BITS", "Frame", "GridSpec",
+    "DisagreementCount", "EnergySample", "FRAME_BITS", "GridSpec",
     "LinkGeometry", "PAYLOAD_BITS", "PacketRecord", "SCHEMES",
     "SPEED_OF_LIGHT", "SYNC_BITS", "ScatterRatio", "SeriesControl",
     "SeriesError",
@@ -41,7 +41,7 @@ __all__ = [
     "encode_frame", "energy_statistic_direct", "energy_stream", "exact_ber",
     "frame_sync", "from_db", "fsk_coherent_ber", "fspl_gain", "gaussian_ber",
     "gen_srs_symbol", "iota_magnitude_for_target", "log_bessel_i", "lte_snr",
-    "make_alphabet", "make_frame", "measurement_config", "params_for_scheme",
+    "make_alphabet", "measurement_config", "params_for_scheme",
     "q_func", "q_inv", "range_estimate", "receive_symbol", "reg_inc_beta",
     "replicate_measurement", "run_ber_sweep", "scatter_ratio", "snr_per_bit",
     "theory_points", "to_db", "wilson_interval",

@@ -47,19 +47,6 @@ class SymbolAlphabet:
     s1: np.ndarray
 
 
-@dataclass(frozen=True)
-class Frame:
-    sync: np.ndarray
-    payload_bits: np.ndarray
-    symbol_period_s: float
-
-    def __post_init__(self):
-        if self.sync.size != SYNC_BITS.size:
-            raise ValueError("sync header must be 21 chips")
-        if self.payload_bits.size != PAYLOAD_BITS:
-            raise ValueError("payload must be 80 bits")
-
-
 def _square_wave(n_chips, periods):
     # one full period = half low then half high
     half = n_chips // (2 * periods)
@@ -118,12 +105,6 @@ def encode_frame(payload, alphabet: SymbolAlphabet, idle_chips: int = 0) -> np.n
     return chips
 
 
-def make_frame(payload, symbol_period_s: float) -> Frame:
-    return Frame(sync=np.tile(BARKER7, 3),
-                 payload_bits=np.asarray(payload, dtype=int),
-                 symbol_period_s=symbol_period_s)
-
-
 def frame_sync(chip_llrs, alphabet: SymbolAlphabet):
     """Locate the frame start in a soft chip stream.
 
@@ -145,6 +126,10 @@ def frame_sync(chip_llrs, alphabet: SymbolAlphabet):
     its own size. Offsets further out are dominated by payload data,
     whose random symbols legitimately correlate with the sync pattern,
     so they never count as sidelobes.
+
+    Cost: one direct correlation pass over the stream (O(offsets x
+    template)) plus O(stream) for the window energies, which come from
+    one cumulative sum of the squared chips.
     """
     x = np.asarray(chip_llrs, dtype=float)
     n = alphabet.n_chips
@@ -159,16 +144,22 @@ def frame_sync(chip_llrs, alphabet: SymbolAlphabet):
     tmpl = ((table[states] - table[1 - states]) / 2.0).reshape(-1)
     lt = tmpl.size
     n_off = x.size - frame_len + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, lt)[:n_off]
-    corr = windows @ tmpl
-    norms = np.sqrt(np.sum(windows ** 2, axis=1)) * np.sqrt(np.sum(tmpl ** 2))
+    head = x[:n_off + lt - 1]
+    corr = np.correlate(head, tmpl, "valid")
+    # window energies as differences of one running sum; a sequential
+    # sum of squares never decreases, the clamp keeps sqrt defined if
+    # it were accumulated in another order
+    e = np.concatenate(([0.0], np.cumsum(head * head)))
+    energy = np.maximum(e[lt:] - e[:n_off], 0.0)
+    norms = np.sqrt(energy) * np.sqrt(tmpl @ tmpl)
     r = corr / np.maximum(norms, 1e-300)
     peak = int(np.argmax(r))
     if r[peak] <= 0.0:
         return None
-    dist = np.abs(np.arange(n_off) - peak)
-    ring = (dist >= n) & (dist <= (BARKER7.size - 1) * n)
-    side = r[ring]
+    reach = (BARKER7.size - 1) * n
+    lo = max(peak - reach, 0)
+    near = r[lo:peak + reach + 1]
+    side = near[np.abs(np.arange(lo, lo + near.size) - peak) >= n]
     if side.size and np.max(side) > 0.0 and r[peak] < 2.0 * np.max(side):
         return None
     return peak

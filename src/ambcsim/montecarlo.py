@@ -6,9 +6,9 @@ and replicates the framed FSK measurement pipeline with 0.25 dB SNR
 binning.
 
 Determinism: every random draw comes from a stream seeded by
-(seed, point_index, shard_index), and trials are partitioned into
-fixed-size shards merged by index, so thread count never changes any
-output bit.
+(seed, point_index, shard_index), or (seed, point_index, frame_index)
+for framed replication, and work is partitioned into fixed tasks merged
+by index, so thread count never changes any output bit.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import get_context
 from typing import Optional
 
 import numpy as np
@@ -233,8 +234,15 @@ def _simulate_shard(cfg: SweepConfig, gamma_db: float, point_index: int,
     return errors, disagree, n_symbols
 
 
-def _shard_star(args):
-    return _simulate_shard(*args)
+def _pool_map(fn, tasks, threads: int):
+    """fn(*task) for each argument tuple in tasks, in task order: in this
+    process when threads is 1, else in a pool of that many spawned
+    worker processes (fn must be a module-level function)."""
+    if threads <= 1:
+        return [fn(*t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=threads,
+                             mp_context=get_context("spawn")) as ex:
+        return list(ex.map(fn, *zip(*tasks), chunksize=1))
 
 
 def _run_shards(cfg: SweepConfig, threads: int, y_model: str):
@@ -244,11 +252,7 @@ def _run_shards(cfg: SweepConfig, threads: int, y_model: str):
     for pi, gdb in enumerate(cfg.snr_grid_db):
         for si, n in enumerate(_shard_sizes(cfg.n_symbols_per_point)):
             tasks.append((cfg, float(gdb), pi, si, n, y_model))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(_shard_star, tasks, chunksize=1))
-    else:
-        results = [_simulate_shard(*t) for t in tasks]
+    results = _pool_map(_simulate_shard, tasks, threads)
     n_det = len(cfg.detectors)
     n_pairs = n_det * (n_det - 1) // 2
     n_points = len(cfg.snr_grid_db)
@@ -354,6 +358,55 @@ def _noise_for_gamma_b(cfg: SweepConfig, gamma_b: float) -> float:
     return 0.5 * (-s + math.sqrt(s * s + nm * d * d / (2.0 * gamma_b)))
 
 
+def _replicate_point(cfg: SweepConfig, pi: int, gb_db: float):
+    """Packet records of the frames of one per-bit SNR point. Every
+    frame draws from its own (seed, point, frame) stream."""
+    alphabet = make_alphabet(cfg.scheme, cfg.n_chips)
+    n = cfg.n_chips
+    n_frames = max(1, cfg.n_symbols_per_point // FRAME_BITS)
+    tail = SYNC_BITS.size * n
+    gamma_b = from_db(gb_db)
+    noise = _noise_for_gamma_b(cfg, gamma_b)
+    h_d, h_s, h_b = _path_gains(cfg)
+    ch = ChannelSet(h_d=h_d, h_s=h_s, h_b=h_b, noise_power=noise,
+                    bd_modulation_depth=cfg.bd_modulation_depth,
+                    bd_off_depth=cfg.bd_off_depth)
+    h_on = composite_gain(ch, +1)
+    h_off = composite_gain(ch, -1)
+    on, off = abs(h_on) ** 2, abs(h_off) ** 2
+    mid = cfg.m_sc * (noise + 0.5 * (on + off))
+    sgn = 1.0 if on >= off else -1.0
+    log = []
+    for fi in range(n_frames):
+        rng = np.random.default_rng(
+            np.random.SeedSequence((cfg.seed, pi, fi)))
+        payload = rng.integers(0, 2, PAYLOAD_BITS)
+        lead = int(rng.integers(0, FRAME_BITS * n))
+        chips = np.concatenate([
+            -np.ones(lead, dtype=int),
+            encode_frame(payload, alphabet, idle_chips=tail)])
+        h = np.where(chips > 0, h_on, h_off)
+        ys = energy_stream(h, cfg.m_sc, noise, rng,
+                           per_re=not cfg.fast_path)
+        llr = sgn * (ys - mid)
+        offset = frame_sync(llr, alphabet)
+        ok = offset is not None and int(offset) == lead
+        n_err = 0
+        n_bits = 0
+        if ok:
+            start = lead + tail
+            seg = ys[start:start + PAYLOAD_BITS * n]
+            decoded = demodulate_stream("Correlation", seg, alphabet,
+                                        ch, cfg.m_sc)
+            n_err = int(np.sum(decoded != payload))
+            n_bits = PAYLOAD_BITS
+        log.append(PacketRecord(
+            gamma_b_db=gb_db, lead_chips=lead,
+            sync_offset=-1 if offset is None else int(offset),
+            sync_ok=bool(ok), n_errors=n_err, n_bits=n_bits))
+    return log
+
+
 def replicate_measurement(cfg: SweepConfig, threads: int = 1):
     """Framed FSK pipeline: 101-bit frames (21-bit Barker sync + 80
     payload bits), random idle lead-in, soft-chip synchronization, then
@@ -363,61 +416,23 @@ def replicate_measurement(cfg: SweepConfig, threads: int = 1):
     into 0.25 dB gamma_b bins. Frames whose synchronizer misses the
     true start are logged and counted but contribute no bits to the
     bins. Returns (BerPoint rows incl. the coherent-FSK theory overlay,
-    packet log).
+    packet log). With threads > 1 the SNR points run in that many
+    worker processes and merge in point order, so the output does not
+    depend on threads.
     """
     if cfg.scheme != "FSK":
         raise ValueError("measurement replication uses the FSK scheme")
-    alphabet = make_alphabet(cfg.scheme, cfg.n_chips)
-    n = cfg.n_chips
-    n_frames = max(1, cfg.n_symbols_per_point // FRAME_BITS)
-    tail = SYNC_BITS.size * n
-    log = []
+    tasks = [(cfg, pi, float(gb_db))
+             for pi, gb_db in enumerate(cfg.snr_grid_db)]
+    log = [rec for point_log in _pool_map(_replicate_point, tasks, threads)
+           for rec in point_log]
     bins = {}
-    for pi, gb_db in enumerate(cfg.snr_grid_db):
-        gamma_b = from_db(float(gb_db))
-        noise = _noise_for_gamma_b(cfg, gamma_b)
-        h_d, h_s, h_b = _path_gains(cfg)
-        ch = ChannelSet(h_d=h_d, h_s=h_s, h_b=h_b, noise_power=noise,
-                        bd_modulation_depth=cfg.bd_modulation_depth,
-                        bd_off_depth=cfg.bd_off_depth)
-        h_on = composite_gain(ch, +1)
-        h_off = composite_gain(ch, -1)
-        on, off = abs(h_on) ** 2, abs(h_off) ** 2
-        mid = cfg.m_sc * (noise + 0.5 * (on + off))
-        sgn = 1.0 if on >= off else -1.0
-        key = round(float(gb_db) / 0.25) * 0.25
-        tally = bins.setdefault(key, [0, 0, 0])
-        for fi in range(n_frames):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((cfg.seed, pi, fi)))
-            payload = rng.integers(0, 2, PAYLOAD_BITS)
-            lead = int(rng.integers(0, FRAME_BITS * n))
-            chips = np.concatenate([
-                -np.ones(lead, dtype=int),
-                encode_frame(payload, alphabet, idle_chips=tail)])
-            h = np.where(chips > 0, h_on, h_off)
-            ys = energy_stream(h, cfg.m_sc, noise, rng,
-                               per_re=not cfg.fast_path)
-            llr = sgn * (ys - mid)
-            offset = frame_sync(llr, alphabet)
-            ok = offset is not None and int(offset) == lead
-            n_err = 0
-            n_bits = 0
-            if ok:
-                start = lead + tail
-                seg = ys[start:start + PAYLOAD_BITS * n]
-                decoded = demodulate_stream("Correlation", seg, alphabet,
-                                            ch, cfg.m_sc)
-                n_err = int(np.sum(decoded != payload))
-                n_bits = PAYLOAD_BITS
-                tally[0] += n_err
-                tally[1] += n_bits
-            else:
-                tally[2] += 1
-            log.append(PacketRecord(
-                gamma_b_db=float(gb_db), lead_chips=lead,
-                sync_offset=-1 if offset is None else int(offset),
-                sync_ok=bool(ok), n_errors=n_err, n_bits=n_bits))
+    for rec in log:
+        tally = bins.setdefault(round(rec.gamma_b_db / 0.25) * 0.25,
+                                [0, 0, 0])
+        tally[0] += rec.n_errors
+        tally[1] += rec.n_bits
+        tally[2] += not rec.sync_ok
     points = []
     for key in sorted(bins):
         k, nb, n_lost = bins[key]

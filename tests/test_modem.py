@@ -310,3 +310,130 @@ class TestFrameSync:
         a = make_alphabet("FSK", 4)
         with pytest.raises(ValueError):
             frame_sync(np.zeros(FRAME_BITS * 4 - 1), a)
+
+
+def _frame_sync_reference(chip_llrs, alphabet):
+    """The windowed-matrix frame_sync this module's equivalence tests
+    compare against: every window materialized, norms per window, and
+    the sidelobe ring masked over all offsets."""
+    x = np.asarray(chip_llrs, dtype=float)
+    n = alphabet.n_chips
+    frame_len = FRAME_BITS * n
+    if x.size < frame_len:
+        raise ValueError("stream shorter than one frame")
+    if alphabet.scheme == "DBPSK":
+        states = np.cumsum(SYNC_BITS) % 2
+    else:
+        states = SYNC_BITS
+    table = np.stack([alphabet.s0, alphabet.s1]).astype(float)
+    tmpl = ((table[states] - table[1 - states]) / 2.0).reshape(-1)
+    lt = tmpl.size
+    n_off = x.size - frame_len + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x, lt)[:n_off]
+    corr = windows @ tmpl
+    norms = np.sqrt(np.sum(windows ** 2, axis=1)) * np.sqrt(np.sum(tmpl ** 2))
+    r = corr / np.maximum(norms, 1e-300)
+    peak = int(np.argmax(r))
+    if r[peak] <= 0.0:
+        return None
+    dist = np.abs(np.arange(n_off) - peak)
+    ring = (dist >= n) & (dist <= (BARKER7.size - 1) * n)
+    side = r[ring]
+    if side.size and np.max(side) > 0.0 and r[peak] < 2.0 * np.max(side):
+        return None
+    return peak
+
+
+class TestFrameSyncMatchesReference:
+    """frame_sync against the windowed-matrix reference: the same
+    offset, or None, stream for stream."""
+
+    ALPHABETS = [(s, n) for s in ("BPSK", "FSK", "DBPSK") for n in (4, 20)]
+
+    @staticmethod
+    def _frame(rng, a, lead, tail):
+        payload = rng.integers(0, 2, PAYLOAD_BITS)
+        return np.concatenate([
+            -np.ones(lead, dtype=int),
+            encode_frame(payload, a, idle_chips=tail),
+        ]).astype(float)
+
+    def _check(self, x, a):
+        got = frame_sync(x, a)
+        assert got == _frame_sync_reference(x, a), (a.scheme, a.n_chips)
+        return got
+
+    def test_noisy_frames(self):
+        rng = np.random.default_rng(20)
+        locked = 0
+        for scheme, n in self.ALPHABETS:
+            a = make_alphabet(scheme, n)
+            for sigma in (0.3, 1.0, 2.0, 3.0):
+                for _ in range(8):
+                    lead = int(rng.integers(0, FRAME_BITS * n))
+                    x = self._frame(rng, a, lead, SYNC_BITS.size * n)
+                    x += sigma * rng.standard_normal(x.size)
+                    locked += self._check(x, a) is not None
+        assert locked > 0
+
+    def test_scaled_streams(self):
+        # a first half 1e3 louder than the second; a whole stream near
+        # the bottom of the double range, where the norms are ~1e-148
+        rng = np.random.default_rng(21)
+        for scheme, n in self.ALPHABETS:
+            a = make_alphabet(scheme, n)
+            for _ in range(8):
+                lead = int(rng.integers(0, FRAME_BITS * n))
+                x = self._frame(rng, a, lead, SYNC_BITS.size * n)
+                x += 0.5 * rng.standard_normal(x.size)
+                self._check(x * 1e-150, a)
+                x[:x.size // 2] *= 1e3
+                self._check(x, a)
+
+    def test_pure_noise_one_frame_long(self):
+        # n_off = 1: a single window, and an empty sidelobe ring
+        rng = np.random.default_rng(22)
+        for scheme, n in self.ALPHABETS:
+            a = make_alphabet(scheme, n)
+            for _ in range(10):
+                self._check(rng.standard_normal(FRAME_BITS * n), a)
+
+    def test_peak_near_either_end(self):
+        # the ring around the peak is clipped by the first or last offset
+        rng = np.random.default_rng(23)
+        for scheme, n in self.ALPHABETS:
+            a = make_alphabet(scheme, n)
+            for lead, tail in ((0, 40 * n), (2, 40 * n), (3 * n, 40 * n),
+                               (40 * n, 0), (40 * n, 2 * n), (0, 0)):
+                x = self._frame(rng, a, lead, tail)
+                assert self._check(x, a) == lead
+                x += 0.4 * rng.standard_normal(x.size)
+                self._check(x, a)
+
+    def test_echo_on_the_ring_edges(self):
+        # an echo d chips after (or a pre-echo before) the frame puts a
+        # second correlation peak d offsets from the first; d = n and
+        # d = 6n sit on the inner and outer edges of the sidelobe ring.
+        # The gains keep the peak at least 1% away from twice the
+        # sidelobe: at an exact tie of the lock test (a 0.6 pre-echo
+        # 6n early on BPSK n=20 is one) two summation orders may round
+        # to opposite sides of it.
+        rng = np.random.default_rng(24)
+        rejected = 0
+        for scheme, n in self.ALPHABETS:
+            a = make_alphabet(scheme, n)
+            for d in (n, 6 * n, -n, -6 * n):
+                for gain in (0.45, 0.65, 0.85):
+                    lead = int(rng.integers(8 * n, FRAME_BITS * n))
+                    x = self._frame(rng, a, lead, SYNC_BITS.size * n)
+                    if d > 0:
+                        x[d:] += gain * x[:-d]
+                    else:
+                        x[:d] += gain * x[-d:]
+                    rejected += self._check(x, a) is None
+        assert rejected > 0
+
+    def test_all_zero_stream(self):
+        for scheme, n in self.ALPHABETS:
+            a = make_alphabet(scheme, n)
+            assert self._check(np.zeros(FRAME_BITS * n + 50), a) is None

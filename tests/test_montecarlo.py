@@ -260,6 +260,15 @@ class TestReplicateMeasurement:
         assert [repr(p) for p in p1] == [repr(p) for p in p2]
         assert l1 == l2
 
+    def test_threads_do_not_change_output(self):
+        cfg = measurement_config((6.0, 7.0, 8.0), n_symbols_per_point=303,
+                                 seed=9)
+        p1, l1 = replicate_measurement(cfg, threads=1)
+        p2, l2 = replicate_measurement(cfg, threads=2)
+        assert [repr(p) for p in p1] == [repr(p) for p in p2]
+        assert l1 == l2
+        assert [r.gamma_b_db for r in l2] == [6.0] * 3 + [7.0] * 3 + [8.0] * 3
+
     def test_sync_rate_at_ten_db(self):
         cfg = measurement_config((10.0,), n_symbols_per_point=FRAME_BITS * 25,
                                  seed=11)
