@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special as _sp
 
+from .channel import _gamma_b
 from .specfun import q_func, q_inv
 
 
@@ -259,13 +260,11 @@ def exact_ber(p: DetectionParams, ctl: SeriesControl = DEFAULT_CONTROL):
 
 
 def gaussian_ber(p: DetectionParams):
-    """Large-m_sc asymptote of exact_ber:
-    Q(sqrt(N m_sc (h_on^2 - h_off^2)^2 /
-    (4 sigma^2 (sigma^2 + h_on^2 + h_off^2))))."""
-    s2 = p.noise_power
-    num = p.n_chips * p.m_sc * (p.h_on_sq - p.h_off_sq) ** 2
-    den = 4.0 * s2 * (s2 + p.h_on_sq + p.h_off_sq)
-    return float(q_func(np.sqrt(num / den)))
+    """Large-m_sc asymptote of exact_ber: Q(sqrt(2 gamma_b)), with
+    gamma_b the per-bit SNR of channel.snr_per_bit."""
+    gamma_b = _gamma_b(p.n_chips, p.m_sc, p.h_on_sq, p.h_off_sq,
+                       p.noise_power)
+    return float(q_func(np.sqrt(2.0 * gamma_b)))
 
 
 def fsk_coherent_ber(gamma_b):
@@ -275,18 +274,24 @@ def fsk_coherent_ber(gamma_b):
     return float(q_func(np.sqrt(gamma_b)))
 
 
-def _params_for_u(u, gamma, m_sc, n_chips) -> DetectionParams:
-    """Detection parameters at link SNR gamma and u = |1+iota|^2, with
-    sigma^2 = 1: h_on^2 = gamma max(u, 1), h_off^2 = gamma min(u, 1).
+def _ordered_params(on, off, noise_power, m_sc, n_chips) -> DetectionParams:
+    """Detection parameters for squared gains on, off with the larger
+    one as h_on^2.
 
-    Destructive geometries (u < 1) flip the sign of the gain
+    Destructive geometries (on < off) flip the sign of the gain
     difference; the detector tracks the true sign, so they map to the
     role-swapped problem.
     """
-    big, small = (u, 1.0) if u >= 1.0 else (1.0, u)
-    return DetectionParams(m_sc=m_sc, n_chips=n_chips,
-                           h_on_sq=gamma * big, h_off_sq=gamma * small,
-                           noise_power=1.0)
+    big, small = (on, off) if on >= off else (off, on)
+    return DetectionParams(m_sc=m_sc, n_chips=n_chips, h_on_sq=big,
+                           h_off_sq=small, noise_power=noise_power)
+
+
+def _params_for_u(u, gamma, m_sc, n_chips) -> DetectionParams:
+    """Detection parameters at link SNR gamma > 0 and u = |1+iota|^2,
+    with sigma^2 = 1: h_on^2 = gamma max(u, 1), h_off^2 = gamma min(u, 1).
+    """
+    return _ordered_params(gamma * u, gamma, 1.0, m_sc, n_chips)
 
 
 def ber_vs_iota(iota, gamma, m_sc, n_chips,

@@ -76,11 +76,6 @@ class ChannelSet:
             raise ValueError("bd_off_depth must be in [0, bd_modulation_depth)")
 
 
-@dataclass(frozen=True)
-class ScatterRatio:
-    iota: complex
-
-
 def fspl_gain(d: float, lam: float) -> complex:
     """Free-space complex amplitude gain at distance d, wavelength lam:
     magnitude lam / (4 pi d), phase 2 pi d / lam."""
@@ -103,7 +98,7 @@ def composite_gain(ch: ChannelSet, b: int) -> complex:
     raise ValueError("BD state must be +1 or -1")
 
 
-def scatter_ratio(geom: LinkGeometry, lam: float) -> ScatterRatio:
+def scatter_ratio(geom: LinkGeometry, lam: float) -> complex:
     """Scatter-to-direct gain ratio for free-space legs.
 
     Dimensionless and invariant under a uniform scaling of all
@@ -114,7 +109,7 @@ def scatter_ratio(geom: LinkGeometry, lam: float) -> ScatterRatio:
     d_d, d_s, d_b = geom.d_d, geom.d_s, geom.d_b
     mag = (lam / _FOUR_PI) * d_d / (d_s * d_b)
     phase = 2.0 * np.pi * (d_d - d_b - d_s) / lam
-    return ScatterRatio(iota=mag * np.exp(1j * phase))
+    return mag * np.exp(1j * phase)
 
 
 def lte_snr(ch: ChannelSet) -> float:
@@ -130,9 +125,14 @@ def snr_per_bit(ch: ChannelSet, n_chips: int, m_sc: int) -> float:
     """
     if n_chips < 1 or m_sc < 1:
         raise ValueError("n_chips and m_sc must be positive")
-    s2 = ch.noise_power
-    on = abs(composite_gain(ch, +1)) ** 2
-    off = abs(composite_gain(ch, -1)) ** 2
+    return _gamma_b(n_chips, m_sc, abs(composite_gain(ch, +1)) ** 2,
+                    abs(composite_gain(ch, -1)) ** 2, ch.noise_power)
+
+
+def _gamma_b(n_chips, m_sc, on, off, s2):
+    """The per-bit SNR of snr_per_bit from the squared gains on, off and
+    the noise power s2. Callers keep their own (on, off) order, since
+    s2 + on + off and s2 + off + on can round apart."""
     return n_chips * m_sc * (on - off) ** 2 / (8.0 * s2 * (s2 + on + off))
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .ber_theory import (SeriesError, _params_for_u, exact_ber,
                          fsk_coherent_ber, gaussian_ber)
+from .channel import _gamma_b
 from .coverage import (DEFAULT_LEVELS, CoverageScenario, centered_grid,
                        compute_ber_grid, contour_export, range_estimate)
 from .modem import DETECTOR_KINDS
@@ -282,9 +283,8 @@ def cmd_theory(args, out_dir):
             gamma = 10.0 ** (gdb / 10.0)
             p = _params_for_u(abs(1.0 + args.iota) ** 2, gamma, args.msc,
                               args.n)
-            nm = args.n * args.msc
-            gamma_b = (nm * (p.h_on_sq - p.h_off_sq) ** 2
-                       / (8.0 * (1.0 + p.h_on_sq + p.h_off_sq)))
+            gamma_b = _gamma_b(p.n_chips, p.m_sc, p.h_on_sq, p.h_off_sq,
+                               p.noise_power)
             pe = exact_ber(p)
             pg = gaussian_ber(p)
         else:

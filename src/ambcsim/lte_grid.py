@@ -14,95 +14,9 @@ chi-square law with 2 m_sc degrees of freedom and noncentrality
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class SrsConfig:
-    """Static sounding-signal configuration."""
-
-    num_rb: int = 50
-    subcarrier_spacing_hz: float = 15e3
-    m_sc: int = 288
-    t_srs_s: float = 2e-3
-    carrier_freq_hz: float = 782e6
-    bandwidth_hz: float = 10e6
-
-    def __post_init__(self):
-        if self.m_sc < 24:
-            raise ValueError("m_sc must be at least 24")
-        if self.num_rb <= 0:
-            raise ValueError("num_rb must be positive")
-        if self.t_srs_s <= 0.0:
-            raise ValueError("t_srs_s must be positive")
-        if self.subcarrier_spacing_hz <= 0.0 or self.bandwidth_hz <= 0.0:
-            raise ValueError("spacing and bandwidth must be positive")
-        if self.carrier_freq_hz <= 0.0:
-            raise ValueError("carrier_freq_hz must be positive")
-
-    @property
-    def chip_rate_hz(self):
-        """Sampling rate the sounding period gives the backscatter link."""
-        return 1.0 / self.t_srs_s
-
-
-@dataclass(frozen=True)
-class SrsSymbol:
-    res: np.ndarray
-    symbol_index: int = 0
-
-
-@dataclass(frozen=True)
-class EnergySample:
-    y: float
-    noise_power: float
-    symbol_index: int = 0
-
-
-def default_config() -> SrsConfig:
-    """Standard configuration: 50 RB, 15 kHz spacing, 288 sounding
-    subcarriers, 2 ms period (500 Hz chip rate), 782 MHz carrier,
-    10 MHz bandwidth."""
-    return SrsConfig()
-
-
-def gen_srs_symbol(cfg: SrsConfig, l: int, rng) -> SrsSymbol:
-    """Draw one transmitted sounding symbol.
-
-    Subcarriers are unit modulus with uniformly random phases. Every
-    downstream statistic depends on the sequence only through
-    |S_t[k]| = 1, so the exact sequence structure is irrelevant; random
-    phases keep the generator trivial and the energies exact.
-    """
-    if l < 0:
-        raise ValueError("symbol index must be non-negative")
-    phases = rng.uniform(0.0, _TWO_PI, cfg.m_sc)
-    return SrsSymbol(res=np.exp(1j * phases), symbol_index=l)
-
-
-def receive_symbol(sym: SrsSymbol, h: complex, noise_power: float, rng) -> EnergySample:
-    """Pass one sounding symbol through gain h plus white complex noise
-    and return its energy statistic."""
-    if noise_power <= 0.0:
-        raise ValueError("noise_power must be positive")
-    m = sym.res.size
-    noise = np.sqrt(noise_power / 2.0) * (
-        rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    rx = h * sym.res + noise
-    y = float(np.sum(np.abs(rx) ** 2))
-    return EnergySample(y=y, noise_power=noise_power, symbol_index=sym.symbol_index)
-
-
-def energy_statistic_direct(h: complex, cfg: SrsConfig, noise_power: float, rng) -> EnergySample:
-    """Fast path: sample y straight from its chi-square law instead of
-    synthesizing subcarriers. Statistically indistinguishable from
-    receive_symbol(gen_srs_symbol(...), ...)."""
-    y = energy_stream([h], cfg.m_sc, noise_power, rng)
-    return EnergySample(y=float(y[0]), noise_power=noise_power)
 
 
 def energy_stream(h, m_sc: int, noise_power: float, rng, per_re: bool = False):
@@ -110,7 +24,9 @@ def energy_stream(h, m_sc: int, noise_power: float, rng, per_re: bool = False):
 
     per_re=False samples each y directly from the noncentral chi-square
     law (the fast path). per_re=True synthesizes every subcarrier, which
-    is what the direct path must match distributionally.
+    is what the direct path must match distributionally. Its symbols are
+    unit modulus with uniformly random phases: y depends on the sequence
+    only through |S_t[k]| = 1.
     """
     if noise_power <= 0.0:
         raise ValueError("noise_power must be positive")

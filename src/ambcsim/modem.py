@@ -22,6 +22,7 @@ chi-square law of y and serves as the referee for the other three.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,16 +174,12 @@ def _pattern_gains(alphabet: SymbolAlphabet, ch: ChannelSet):
     return g0, g1
 
 
-def _metric_diff(kind, ys, alphabet, ch, m_sc, normalize_energy=False):
+def _metric_diff(kind, ys, alphabet, ch, m_sc):
     """metric(H_0) - metric(H_1) for each row of ys, shape (n, N)."""
     if kind not in DETECTOR_KINDS:
         raise ValueError(f"unknown detector kind: {kind}")
     g0, g1 = _pattern_gains(alphabet, ch)
     s2 = ch.noise_power
-    if normalize_energy:
-        mean = ys.mean(axis=1, keepdims=True)
-        ys = np.divide(ys, mean, out=np.asarray(ys, dtype=float).copy(),
-                       where=mean > 0.0)
     if kind == "Correlation":
         return ys @ (g0 - g1)
     if kind == "SquareRoot":
@@ -195,16 +192,26 @@ def _metric_diff(kind, ys, alphabet, ch, m_sc, normalize_energy=False):
         t0 = -((ys - mu0) ** 2) / (2.0 * v0) - 0.5 * np.log(v0)
         t1 = -((ys - mu1) ** 2) / (2.0 * v1) - 0.5 * np.log(v1)
         return np.sum(t0 - t1, axis=1)
-    # BesselMap: exact per-chip log likelihood, constant terms cancel
-    # between hypotheses because both symbols have equal on/off counts
+    # BesselMap: exact per-chip log likelihood ln I_v(root g) - v ln g,
+    # v = M - 1; the v ln g terms and the constants cancel between
+    # hypotheses because both symbols have equal on/off counts. A zero
+    # gain makes ln I_v(0) -inf under both hypotheses: its chips take the
+    # finite limit v ln(root / 2) - ln v!, plus the v ln g of the other
+    # state, which the cancellation drops from the non-zero chips.
+    nu = m_sc - 1
     root = 2.0 * np.sqrt(m_sc * ys) / s2
-    t0 = log_bessel_i(m_sc - 1, root * g0)
-    t1 = log_bessel_i(m_sc - 1, root * g1)
+    t0 = log_bessel_i(nu, root * g0)
+    t1 = log_bessel_i(nu, root * g1)
+    g = g0.max()
+    if nu and g > 0.0 and g0.min() == 0.0:
+        lead = nu * np.log(root * (g / 2.0)) - math.lgamma(nu + 1.0)
+        t0 = np.where(g0 == 0.0, lead, t0)
+        t1 = np.where(g1 == 0.0, lead, t1)
     return np.sum(t0 - t1, axis=1)
 
 
-def detect(kind: str, y, alphabet: SymbolAlphabet, ch: ChannelSet, m_sc: int,
-           normalize_energy: bool = False) -> int:
+def detect(kind: str, y, alphabet: SymbolAlphabet, ch: ChannelSet,
+           m_sc: int) -> int:
     """Decide one symbol from its N energy samples. Returns 0 or 1;
     exact metric ties resolve to 0."""
     y = np.asarray(y, dtype=float)
@@ -212,14 +219,12 @@ def detect(kind: str, y, alphabet: SymbolAlphabet, ch: ChannelSet, m_sc: int,
         raise ValueError("expected exactly n_chips energy samples")
     if np.any(y < 0.0):
         raise ValueError("energy samples must be non-negative")
-    d = _metric_diff(kind, y[None, :], alphabet, ch, m_sc,
-                     normalize_energy=normalize_energy)
+    d = _metric_diff(kind, y[None, :], alphabet, ch, m_sc)
     return int(d[0] < 0.0)
 
 
 def demodulate_stream(kind: str, stream, alphabet: SymbolAlphabet,
-                      ch: ChannelSet, m_sc: int,
-                      normalize_energy: bool = False) -> np.ndarray:
+                      ch: ChannelSet, m_sc: int) -> np.ndarray:
     """One bit per n_chips energy samples. The stream must already be
     aligned to a symbol boundary (apply the frame_sync offset first;
     a sync failure has no meaningful stream to pass here)."""
@@ -230,8 +235,7 @@ def demodulate_stream(kind: str, stream, alphabet: SymbolAlphabet,
     if np.any(stream < 0.0):
         raise ValueError("energy samples must be non-negative")
     ys = stream.reshape(-1, n)
-    d = _metric_diff(kind, ys, alphabet, ch, m_sc,
-                     normalize_energy=normalize_energy)
+    d = _metric_diff(kind, ys, alphabet, ch, m_sc)
     hard = (d < 0.0).astype(int)
     if alphabet.scheme == "DBPSK":
         prev = np.concatenate([[0], hard[:-1]])

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ber_theory import (DetectionParams, exact_ber, fsk_coherent_ber,
+from .ber_theory import (_ordered_params, exact_ber, fsk_coherent_ber,
                          gaussian_ber, params_for_scheme)
 from .channel import (SPEED_OF_LIGHT, ChannelSet, LinkGeometry,
                       composite_gain, from_db, fspl_gain, snr_per_bit, to_db)
@@ -58,7 +58,6 @@ class SweepConfig:
     bd_off_depth: float = 0.0
     geometry: Optional[LinkGeometry] = None
     carrier_freq_hz: float = 782e6
-    normalize_energy: bool = False
 
     def __post_init__(self):
         grid = tuple(float(g) for g in self.snr_grid_db)
@@ -135,10 +134,14 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
 
 def channel_for_snr(cfg: SweepConfig, gamma_db: float) -> ChannelSet:
     """ChannelSet at cellular SNR gamma_db with the config's paths."""
-    gamma = from_db(gamma_db)
+    h_d = _path_gains(cfg)[0]
+    return _channel(cfg, abs(h_d) ** 2 / from_db(gamma_db))
+
+
+def _channel(cfg: SweepConfig, noise_power: float) -> ChannelSet:
+    """ChannelSet with the config's paths and BD depths at noise_power."""
     h_d, h_s, h_b = _path_gains(cfg)
-    noise = abs(h_d) ** 2 / gamma
-    return ChannelSet(h_d=h_d, h_s=h_s, h_b=h_b, noise_power=noise,
+    return ChannelSet(h_d=h_d, h_s=h_s, h_b=h_b, noise_power=noise_power,
                       bd_modulation_depth=cfg.bd_modulation_depth,
                       bd_off_depth=cfg.bd_off_depth)
 
@@ -155,30 +158,22 @@ def _path_gains(cfg: SweepConfig):
     return complex(h_d), complex(h_s), complex(1.0)
 
 
-def _detection_params(ch: ChannelSet, cfg: SweepConfig) -> DetectionParams:
-    on = abs(composite_gain(ch, +1)) ** 2
-    off = abs(composite_gain(ch, -1)) ** 2
-    # destructive geometries flip the gain difference; detectors track
-    # the true sign, so theory uses the role-swapped problem
-    big, small = (on, off) if on >= off else (off, on)
-    return DetectionParams(m_sc=cfg.m_sc, n_chips=cfg.n_chips,
-                           h_on_sq=big, h_off_sq=small,
-                           noise_power=ch.noise_power)
-
-
 def theory_points(cfg: SweepConfig, gamma_db: float):
     """Exact and asymptotic theory rows matching one sweep point."""
     ch = channel_for_snr(cfg, gamma_db)
-    gb_db = to_db(snr_per_bit(ch, cfg.n_chips, cfg.m_sc))
-    p = _detection_params(ch, cfg)
+    gamma_b = snr_per_bit(ch, cfg.n_chips, cfg.m_sc)
+    p = _ordered_params(abs(composite_gain(ch, +1)) ** 2,
+                        abs(composite_gain(ch, -1)) ** 2, ch.noise_power,
+                        cfg.m_sc, cfg.n_chips)
     pe = exact_ber(params_for_scheme(p, cfg.scheme))
     if cfg.scheme == "FSK":
-        pg = fsk_coherent_ber(snr_per_bit(ch, cfg.n_chips, cfg.m_sc))
+        pg = fsk_coherent_ber(gamma_b)
     else:
         pg = gaussian_ber(p)
     if cfg.scheme == "DBPSK":
         pe = 2.0 * pe * (1.0 - pe)
         pg = 2.0 * pg * (1.0 - pg)
+    gb_db = to_db(gamma_b)
     mk = lambda ber, src: BerPoint(
         gamma_db=gamma_db, gamma_b_db=gb_db, ber=float(ber), n_errors=0,
         n_bits=0, receiver="theory", source=src)
@@ -223,8 +218,7 @@ def _simulate_shard(cfg: SweepConfig, gamma_db: float, point_index: int,
     errors = []
     decoded_all = []
     for det in cfg.detectors:
-        decoded = demodulate_stream(det, ys, alphabet, ch, cfg.m_sc,
-                                    normalize_energy=cfg.normalize_energy)
+        decoded = demodulate_stream(det, ys, alphabet, ch, cfg.m_sc)
         decoded_all.append(decoded)
         errors.append(int(np.sum(decoded != bits)))
     disagree = []
@@ -276,16 +270,23 @@ def run_ber_sweep(cfg: SweepConfig, threads: int = 1):
     for pi, gdb in enumerate(cfg.snr_grid_db):
         gdb = float(gdb)
         points.extend(theory_points(cfg, gdb))
-        ch = channel_for_snr(cfg, gdb)
-        gb_db = to_db(snr_per_bit(ch, cfg.n_chips, cfg.m_sc))
-        for di, det in enumerate(cfg.detectors):
-            k = int(errors[pi, di])
-            n = int(counts[pi])
-            lo, hi = wilson_interval(k, n)
-            points.append(BerPoint(
-                gamma_db=gdb, gamma_b_db=gb_db, ber=k / n, n_errors=k,
-                n_bits=n, receiver=det, source="simulation",
-                ci_low=lo, ci_high=hi))
+        points.extend(_sim_points(cfg, gdb, errors[pi], int(counts[pi])))
+    return points
+
+
+def _sim_points(cfg: SweepConfig, gdb: float, errors_row, n: int):
+    """One simulation BerPoint per detector at SNR point gdb, from its
+    error counts over n bits, with the 95% Wilson interval."""
+    ch = channel_for_snr(cfg, gdb)
+    gb_db = to_db(snr_per_bit(ch, cfg.n_chips, cfg.m_sc))
+    points = []
+    for det, k in zip(cfg.detectors, errors_row):
+        k = int(k)
+        lo, hi = wilson_interval(k, n)
+        points.append(BerPoint(
+            gamma_db=gdb, gamma_b_db=gb_db, ber=k / n, n_errors=k,
+            n_bits=n, receiver=det, source="simulation",
+            ci_low=lo, ci_high=hi))
     return points
 
 
@@ -304,16 +305,8 @@ def compare_receivers(cfg: SweepConfig, y_model: str = "chi2",
     rows = []
     for pi, gdb in enumerate(cfg.snr_grid_db):
         gdb = float(gdb)
-        ch = channel_for_snr(cfg, gdb)
-        gb_db = to_db(snr_per_bit(ch, cfg.n_chips, cfg.m_sc))
         n = int(counts[pi])
-        for di, det in enumerate(cfg.detectors):
-            k = int(errors[pi, di])
-            lo, hi = wilson_interval(k, n)
-            points.append(BerPoint(
-                gamma_db=gdb, gamma_b_db=gb_db, ber=k / n, n_errors=k,
-                n_bits=n, receiver=det, source="simulation",
-                ci_low=lo, ci_high=hi))
+        points.extend(_sim_points(cfg, gdb, errors[pi], n))
         pair = 0
         for a in range(len(cfg.detectors)):
             for b in range(a + 1, len(cfg.detectors)):
@@ -349,9 +342,9 @@ def measurement_config(snr_per_bit_grid_db, n_symbols_per_point: int = 9999,
 def _noise_for_gamma_b(cfg: SweepConfig, gamma_b: float) -> float:
     """Noise power giving the requested per-bit SNR with the config's
     fixed path gains (closed-form root of the gamma_b definition)."""
-    h_d, h_s, h_b = _path_gains(cfg)
-    on = abs(h_d + cfg.bd_modulation_depth * h_s * h_b) ** 2
-    off = abs(h_d + cfg.bd_off_depth * h_s * h_b) ** 2
+    ch = _channel(cfg, 1.0)  # the composite gains do not see the noise
+    on = abs(composite_gain(ch, +1)) ** 2
+    off = abs(composite_gain(ch, -1)) ** 2
     s = on + off
     d = on - off
     nm = cfg.n_chips * cfg.m_sc
@@ -365,12 +358,8 @@ def _replicate_point(cfg: SweepConfig, pi: int, gb_db: float):
     n = cfg.n_chips
     n_frames = max(1, cfg.n_symbols_per_point // FRAME_BITS)
     tail = SYNC_BITS.size * n
-    gamma_b = from_db(gb_db)
-    noise = _noise_for_gamma_b(cfg, gamma_b)
-    h_d, h_s, h_b = _path_gains(cfg)
-    ch = ChannelSet(h_d=h_d, h_s=h_s, h_b=h_b, noise_power=noise,
-                    bd_modulation_depth=cfg.bd_modulation_depth,
-                    bd_off_depth=cfg.bd_off_depth)
+    noise = _noise_for_gamma_b(cfg, from_db(gb_db))
+    ch = _channel(cfg, noise)
     h_on = composite_gain(ch, +1)
     h_off = composite_gain(ch, -1)
     on, off = abs(h_on) ** 2, abs(h_off) ** 2

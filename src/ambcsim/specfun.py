@@ -55,22 +55,6 @@ def log_bessel_i(order, x):
     return float(out[0]) if scalar else out
 
 
-def reg_inc_beta(x, a, b):
-    """Regularized incomplete beta function I_x(a, b).
-
-    x in [0, 1], a > 0, b > 0.
-    """
-    x_in = np.asarray(x, dtype=float)
-    a_in = np.asarray(a, dtype=float)
-    b_in = np.asarray(b, dtype=float)
-    if np.any((x_in < 0.0) | (x_in > 1.0)):
-        raise ValueError("reg_inc_beta requires 0 <= x <= 1")
-    if np.any(a_in <= 0.0) or np.any(b_in <= 0.0):
-        raise ValueError("reg_inc_beta requires a > 0 and b > 0")
-    out = _sp.betainc(a_in, b_in, x_in)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def q_func(x):
     """Gaussian tail probability Q(x) = Pr(N(0,1) > x)."""
     x = np.asarray(x, dtype=float)

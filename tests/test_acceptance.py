@@ -228,7 +228,7 @@ def test_criterion_5_exact_spot_checks():
     for i, j in picks:
         bd = (float(grid.x_axis[j]), float(grid.y_axis[i]))
         geom = LinkGeometry(bs_pos=sc.bs_pos, ue_pos=sc.ue_pos, bd_pos=bd)
-        iota = scatter_ratio(geom, sc.wavelength).iota
+        iota = scatter_ratio(geom, sc.wavelength)
         exact = ber_vs_iota(iota, sc.gamma, sc.m_sc, sc.n_chips,
                             engine="exact")
         worst = max(worst, abs(grid.ber[i, j] - exact) / exact)

@@ -25,7 +25,8 @@ from ambcsim.ber_theory import (
 )
 from ambcsim.channel import ChannelSet, from_db, snr_per_bit
 from ambcsim.specfun import q_func
-from oracles import EXACT_BER_SMALL, EXACT_BER_SWEEP, F_CDF_8_16_4
+from oracles import (EXACT_BER_SMALL, EXACT_BER_SWEEP, F_CDF_8_16_4,
+                     REG_BETA_HALF_576_577)
 
 
 def sweep_params(gamma_db):
@@ -194,6 +195,11 @@ class TestRegBetaTable:
         a = 3.0 + np.arange(6.0)[:, None]
         b = 5.0 + np.arange(7.0)[None, :]
         assert np.allclose(got, sp.betainc(a, b, 0.4), rtol=1e-12, atol=0)
+
+    def test_oracle_value_through_both_recurrences(self):
+        # I_{1/2}(576, 577): six j-steps and six k-steps from the corner
+        got = _reg_beta_table(0.5, 570.0, 571.0, 7, 7)[6, 6]
+        assert abs(got - REG_BETA_HALF_576_577) < 1e-12
 
 
 class TestFCdf:

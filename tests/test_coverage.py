@@ -39,7 +39,7 @@ def default_scenario(**kw):
 def point_ber(sc: CoverageScenario, bd_pos, engine="gaussian"):
     """Independent single-point evaluation through the channel module."""
     geom = LinkGeometry(bs_pos=sc.bs_pos, ue_pos=sc.ue_pos, bd_pos=bd_pos)
-    iota = scatter_ratio(geom, sc.wavelength).iota
+    iota = scatter_ratio(geom, sc.wavelength)
     return ber_vs_iota(iota, sc.gamma, sc.m_sc, sc.n_chips, engine=engine)
 
 

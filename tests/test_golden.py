@@ -1,0 +1,163 @@
+"""Golden CSV hashes: every CLI invocation below must reproduce the
+SHA-256 of each CSV it writes, byte for byte.
+
+Acceptance check 8 only compares two reruns of the same tree with each
+other; this test pins the bytes themselves, so a refactor that moves a
+single digit fails here. The invocations cover check 8's five runs plus
+the paths no benchmark workload reaches: `theory --iota` on both sides
+of |1 + iota| = 1, a destructive simulate geometry (on-state gain below
+the off-state gain), the FSK and DBPSK simulate paths, a gaussian-y
+BesselMap comparison and a small exact coverage map.
+
+The hashes depend on numpy's random streams and scipy's special
+functions, so they are only checked under the numpy and scipy versions
+they were recorded with; elsewhere the test skips and names both. To
+re-record (only when an output is meant to change), run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and paste the printed versions and table over the ones below.
+"""
+import hashlib
+
+import numpy
+import pytest
+import scipy
+
+from ambcsim.cli import main as cli_main
+
+RECORDED_NUMPY = "2.4.6"
+RECORDED_SCIPY = "1.17.1"
+
+INVOCATIONS = {
+    "check8-theory": ["theory", "--gamma", "0:5:10"],
+    "check8-simulate": ["simulate", "--gamma", "6", "--symbols", "2500",
+                        "--seed", "3"],
+    "check8-compare": ["compare", "--gamma", "5", "--realizations", "2500",
+                       "--detectors", "Correlation,SquareRoot"],
+    "check8-coverage": ["coverage", "--resolution", "12", "--half-span",
+                        "0.4"],
+    "check8-replicate": ["replicate", "--gamma-b", "8", "--symbols", "303",
+                         "--seed", "2"],
+    "theory-iota-constructive": ["theory", "--gamma", "0:5:20",
+                                 "--iota=0.3+0.2j"],
+    "theory-iota-destructive": ["theory", "--gamma", "0:5:20",
+                                "--iota=-0.4+0.1j"],
+    "simulate-destructive": ["simulate", "--gamma", "0,6", "--symbols",
+                             "2500", "--seed", "3", "--scatter-phase",
+                             "3.14159", "--scatter-db", "-60",
+                             "--detectors", "Correlation,Power"],
+    "simulate-fsk": ["simulate", "--scheme", "FSK", "--gamma", "6",
+                     "--symbols", "2500"],
+    "simulate-dbpsk": ["simulate", "--scheme", "DBPSK", "--gamma", "6",
+                       "--symbols", "2500"],
+    "compare-gaussian-bessel": ["compare", "--gamma", "5", "--realizations",
+                                "2500", "--y-model", "gaussian",
+                                "--scatter-phase", "3.0", "--detectors",
+                                "Correlation,SquareRoot,BesselMap"],
+    "coverage-exact": ["coverage", "--engine", "exact", "--resolution", "6",
+                       "--half-span", "0.4"],
+}
+
+GOLDEN = {
+    "check8-theory": {
+        "theory.csv":
+            "ab2fba6febe662305c86f132d9843f855f9e54d4db154f89c1d7a5d3393c26bc",
+    },
+    "check8-simulate": {
+        "simulate.csv":
+            "5ccf285262a4fd8a56637cfe6da9712793474b1702e9a004c203513d3ecd3ccc",
+    },
+    "check8-compare": {
+        "compare.csv":
+            "3ded75a245039fd1f452182691dcefd2d9efebb69b2f25b4ba8b1ee7f4d92baf",
+        "disagreement.csv":
+            "9d982bb9c72a5e2197b2b50afcb4cef7d5e112fe49497e39cb2ca70fb8494a38",
+    },
+    "check8-coverage": {
+        "contours.csv":
+            "0bb2c0c2fde69af767b06d467ed44c8b5c9be7195b8fd2d0e45b883d26724672",
+        "coverage_grid.csv":
+            "257abb85a24670a637a5ca437c138bcdb51602e7f8b0a3b4354c648a67932d65",
+        "range.csv":
+            "2ae282b4e3f72e085b28c8d659a4de3ed3c90076050eaba5df5dd98ceeffe754",
+    },
+    "check8-replicate": {
+        "packets.csv":
+            "fbe7db87878483a1f5d6d359a1c3ec2a1686def899a4bf30bef6359a15ec9193",
+        "replicate.csv":
+            "b74a9f0b2d3cf6be127d96910ec405218ef184b0ce8a7002b9fee7f89187cfed",
+    },
+    "theory-iota-constructive": {
+        "theory.csv":
+            "35249d3619e6d1a3aed7d01af59775fca69330f7f01973b45fc9847e61d774b5",
+    },
+    "theory-iota-destructive": {
+        "theory.csv":
+            "86dd648cbf1bdcb7ed0b47481f5eeb5027d1e0f4ae0b8ae7b363fb4f6fdc34a2",
+    },
+    "simulate-destructive": {
+        "simulate.csv":
+            "831100192250883f1052d446dd8515e9a2051a2104cb3b3a3a6180e5baffe8ca",
+    },
+    "simulate-fsk": {
+        "simulate.csv":
+            "1d8558becca35fcc842151fda07f33197c7081d83fe4940145901c63e55d4118",
+    },
+    "simulate-dbpsk": {
+        "simulate.csv":
+            "bad6153a82f89c8d8c9076705ecd8a0540adc9bde2fc2a4a9e95e0b371402e47",
+    },
+    "compare-gaussian-bessel": {
+        "compare.csv":
+            "a801e23da4b5aa11985bac7b9ef53c11bea32e3d853d2003c433b47b2baef70e",
+        "disagreement.csv":
+            "10820cd9062717b278240da4727e54e31afeb1695e7b7853eedcb45e3b732aff",
+    },
+    "coverage-exact": {
+        "contours.csv":
+            "38eb3e23c7d5f03407c541d4d671c36acfde5e7f88f3ca2dc3454d2ca5c9224b",
+        "coverage_grid.csv":
+            "25dc2ded019cb173daae9de7d2aca3750a73a5c8c5dcdc471c4bc0bc917ee753",
+        "range.csv":
+            "cd2b7190fe673f54ecefab892013390c863a3fd9129f0ebc8919efe1d955e2c3",
+    },
+}
+
+
+def _hashes(name, out_dir):
+    """Run one invocation into out_dir; SHA-256 of each CSV by file name."""
+    assert cli_main(INVOCATIONS[name] + ["--out-dir", str(out_dir)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.glob("*.csv"))}
+
+
+def _versions_match():
+    return (numpy.__version__, scipy.__version__) == (RECORDED_NUMPY,
+                                                      RECORDED_SCIPY)
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_csv_bytes_match_golden_hashes(name, tmp_path):
+    if not _versions_match():
+        pytest.skip(f"hashes recorded under numpy {RECORDED_NUMPY} and "
+                    f"scipy {RECORDED_SCIPY}; this is numpy "
+                    f"{numpy.__version__} and scipy {scipy.__version__}")
+    assert _hashes(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    print(f'RECORDED_NUMPY = "{numpy.__version__}"')
+    print(f'RECORDED_SCIPY = "{scipy.__version__}"')
+    print("GOLDEN = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in INVOCATIONS:
+            hashes = _hashes(name, Path(tmp) / name)
+            print(f'    "{name}": {{')
+            for fname, digest in hashes.items():
+                print(f'        "{fname}":\n            "{digest}",')
+            print("    },")
+    print("}")

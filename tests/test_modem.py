@@ -122,14 +122,17 @@ class TestDetectors:
             detect("Banana", [1.0, 2.0, 1.0, 2.0], self.alphabet, self.ch, 288)
 
     def test_noise_free_recovery_all_detectors_all_schemes(self):
-        rng = np.random.default_rng(3)
-        for scheme in ("BPSK", "FSK", "DBPSK"):
-            a = make_alphabet(scheme, 4)
-            bits = rng.integers(0, 2, 40)
-            ys = _mean_energies(bits, a, self.ch, 288)
-            for kind in DETECTOR_KINDS:
-                got = demodulate_stream(kind, ys, a, self.ch, 288)
-                assert np.array_equal(got, bits), (scheme, kind)
+        # the last two channels have an on-state or off-state gain of
+        # exactly zero, where ln I_{M-1}(0) is -inf under both hypotheses
+        for ch in (self.ch, _channel(0.0, 1.0, 0.5), _channel(1.0, 0.0, 0.5)):
+            rng = np.random.default_rng(3)
+            for scheme in ("BPSK", "FSK", "DBPSK"):
+                a = make_alphabet(scheme, 4)
+                bits = rng.integers(0, 2, 40)
+                ys = _mean_energies(bits, a, ch, 288)
+                for kind in DETECTOR_KINDS:
+                    got = demodulate_stream(kind, ys, a, ch, 288)
+                    assert np.array_equal(got, bits), (ch, scheme, kind)
 
     def test_tie_resolves_to_zero(self):
         # constant energies null every pattern correlation

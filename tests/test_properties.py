@@ -54,12 +54,12 @@ def test_dbpsk_noise_free_stream_decodes(bits, n, ch, m_sc, kind):
 
 @given(scheme=st.sampled_from(SCHEMES), n=N_CHIPS, ch=channels(),
        m_sc=st.integers(1, 300), kind=st.sampled_from(DETECTOR_KINDS),
-       root=st.integers(1, 1000), normalize=st.booleans())
-def test_exact_tie_goes_to_zero(scheme, n, ch, m_sc, kind, root, normalize):
+       root=st.integers(1, 1000))
+def test_exact_tie_goes_to_zero(scheme, n, ch, m_sc, kind, root):
     # a constant energy vector scores both symbols alike, since each has
     # equal on and off chip counts; a square level keeps sqrt(y) exact
     a = make_alphabet(scheme, n)
     y = np.full(n, float(root * root))
-    d = _metric_diff(kind, y[None, :], a, ch, m_sc, normalize_energy=normalize)
+    d = _metric_diff(kind, y[None, :], a, ch, m_sc)
     assert d[0] == 0.0
-    assert detect(kind, y, a, ch, m_sc, normalize_energy=normalize) == 0
+    assert detect(kind, y, a, ch, m_sc) == 0

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from ambcsim.specfun import log_bessel_i, q_func, q_inv, reg_inc_beta
+from ambcsim.specfun import log_bessel_i, q_func, q_inv
 from oracles import (
     LOG_I0_1,
     LOG_I287_600,
@@ -10,7 +10,6 @@ from oracles import (
     LOG_I32_50,
     Q_AT_3,
     QINV_1E2,
-    REG_BETA_HALF_576_577,
     log_bessel_series,
 )
 
@@ -80,50 +79,6 @@ class TestLogBesselI:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             log_bessel_i(-1, 1.0)
-
-
-class TestRegIncBeta:
-    def test_degenerate_endpoints(self):
-        assert reg_inc_beta(0.0, 3.0, 4.0) == 0.0
-        assert reg_inc_beta(1.0, 3.0, 4.0) == 1.0
-
-    def test_uniform_case(self):
-        assert abs(reg_inc_beta(0.3, 1.0, 1.0) - 0.3) < 1e-15
-
-    def test_symmetric_midpoint(self):
-        assert abs(reg_inc_beta(0.5, 7.0, 7.0) - 0.5) < 1e-14
-
-    def test_large_symmetric_parameters(self):
-        got = reg_inc_beta(0.5, 576.0, 577.0)
-        assert abs(got - REG_BETA_HALF_576_577) < 1e-12
-
-    def test_reflection_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            x = rng.uniform(0.0, 1.0)
-            a = rng.uniform(0.1, 900.0)
-            b = rng.uniform(0.1, 900.0)
-            lhs = reg_inc_beta(x, a, b)
-            rhs = 1.0 - reg_inc_beta(1.0 - x, b, a)
-            assert abs(lhs - rhs) < 1e-12
-
-    def test_strictly_increasing_in_x(self):
-        xs = np.linspace(0.01, 0.99, 41)
-        vals = reg_inc_beta(xs, 576.0, 577.0)
-        assert np.all(np.diff(vals) > 0.0) or np.all(np.diff(vals) >= 0.0)
-        # interior growth is strict away from the saturated tails
-        mid = vals[(xs > 0.4) & (xs < 0.6)]
-        assert np.all(np.diff(mid) > 0.0)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            reg_inc_beta(-0.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_inc_beta(1.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_inc_beta(0.5, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_inc_beta(0.5, 1.0, -2.0)
 
 
 class TestQFunc:
