@@ -3,8 +3,8 @@ riding on cellular uplink sounding signals."""
 
 __version__ = "0.1.0"
 
-from .ber_theory import (DetectionParams, SeriesControl, SeriesError,
-                         ber_vs_iota, doubly_noncentral_f_cdf, exact_ber,
+from .ber_theory import (DetectionParams, SeriesError, ber_vs_iota,
+                         doubly_noncentral_f_cdf, exact_ber,
                          fsk_coherent_ber, gaussian_ber,
                          iota_magnitude_for_target, params_for_scheme)
 from .channel import (SPEED_OF_LIGHT, ChannelSet, LinkGeometry,
@@ -30,7 +30,7 @@ __all__ = [
     "CoverageScenario", "DETECTOR_KINDS", "DetectionParams",
     "DisagreementCount", "FRAME_BITS", "GridSpec", "LinkGeometry",
     "PAYLOAD_BITS", "PacketRecord", "SCHEMES", "SPEED_OF_LIGHT",
-    "SYNC_BITS", "SeriesControl", "SeriesError", "SweepConfig",
+    "SYNC_BITS", "SeriesError", "SweepConfig",
     "SymbolAlphabet",
     "ber_vs_iota", "centered_grid", "channel_for_snr", "compare_receivers",
     "composite_gain", "compute_ber_grid", "contour_export",

@@ -30,27 +30,16 @@ from .channel import _gamma_b
 from .specfun import q_func, q_inv
 
 
+# truncation of the double Poisson series: each window holds at least
+# 1 - _REL_TOL of its Poisson mass on at most _MAX_TERMS indices
+_REL_TOL = 1e-12
+_MAX_TERMS = 20000
+
+
 class SeriesError(RuntimeError):
-    """A truncated series cannot meet its SeriesControl: the Poisson
-    window needs more than max_terms indices, or its mean is not
-    finite."""
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for the double Poisson series."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 20000
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must be in (0, 1)")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
-
-
-DEFAULT_CONTROL = SeriesControl()
+    """A truncated series gives up: a Poisson window needs more than
+    _MAX_TERMS indices to hold 1 - _REL_TOL of its mass, or its mean
+    is not finite."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +55,6 @@ class DetectionParams:
     h_on_sq: float
     h_off_sq: float
     noise_power: float
-    prior_s0: float = 0.5
 
     def __post_init__(self):
         if self.m_sc < 1 or self.n_chips < 1:
@@ -77,13 +65,11 @@ class DetectionParams:
             raise ValueError("squared gains must be non-negative")
         if self.noise_power <= 0.0:
             raise ValueError("noise_power must be positive")
-        if not 0.0 <= self.prior_s0 <= 1.0:
-            raise ValueError("prior_s0 must be in [0, 1]")
 
 
 def _window_overflow():
-    return SeriesError("Poisson window needs more than max_terms indices; "
-                       "raise max_terms or rel_tol")
+    return SeriesError(f"Poisson window needs more than {_MAX_TERMS} "
+                       "indices")
 
 
 def _poisson_cdf(k, mu):
@@ -96,12 +82,13 @@ def _poisson_cdf(k, mu):
     return c
 
 
-def _poisson_quantile(p, mu, reach):
+def _poisson_quantile(p, mu):
     """Smallest k >= 0 with CDF(k) >= p, for 0 < p < 1.
 
     Integer bisection inside a bracket grown from floor(mu) in doubling
-    steps of about one standard deviation. Raises the max_terms
-    SeriesError once the bracket passes reach indices from floor(mu).
+    steps of about one standard deviation. Raises the window-overflow
+    SeriesError once the bracket passes _MAX_TERMS indices from
+    floor(mu).
     """
     k0 = math.floor(mu)
     step = math.isqrt(k0) + 1
@@ -111,14 +98,14 @@ def _poisson_quantile(p, mu, reach):
         while _poisson_cdf(above - step, mu) >= p:
             above -= step
             step *= 2
-            if k0 - above > reach:
+            if k0 - above > _MAX_TERMS:
                 raise _window_overflow()
         below = above - step
     else:
         while _poisson_cdf(below + step, mu) < p:
             below += step
             step *= 2
-            if below - k0 > reach:
+            if below - k0 > _MAX_TERMS:
                 raise _window_overflow()
         above = below + step
     while above - below > 1:
@@ -130,37 +117,37 @@ def _poisson_quantile(p, mu, reach):
     return above
 
 
-def _poisson_window(half_lam, ctl: SeriesControl):
-    """Index window around the Poisson mode holding >= 1 - rel_tol of
+def _poisson_window(half_lam):
+    """Index window around the Poisson mode holding >= 1 - _REL_TOL of
     the mass, plus the weights on it.
 
-    With mu = half_lam, q = rel_tol / 4 and k_p the smallest k >= 0
+    With mu = half_lam, q = _REL_TOL / 4 and k_p the smallest k >= 0
     whose CDF, evaluated in double precision, reaches p (1 - q rounded
     to double), the window starts at lo = max(k_q - 2, 0) and
     hi = k_{1-q} + 2, then widens by 16 on each side until
-    CDF(hi) - CDF(lo - 1) >= 1 - rel_tol. The CDF is
+    CDF(hi) - CDF(lo - 1) >= 1 - _REL_TOL. The CDF is
     scipy.special.pdtr, the function scipy.stats.poisson's ppf/isf
     settle on, so the bounds are theirs wherever those are finite.
 
     Raises SeriesError for a non-finite mu, and when the window needs
-    more than max_terms indices. The median lies within one index of
+    more than _MAX_TERMS indices. The median lies within one index of
     floor(mu) and between the two quantiles, so a quantile more than
-    max_terms indices from floor(mu) already decides that, before
+    _MAX_TERMS indices from floor(mu) already decides that, before
     either bound is pinned down or any weight is computed.
     """
     if not math.isfinite(half_lam):
         raise SeriesError(f"Poisson mean is not finite: {half_lam!r}")
     if half_lam <= 0.0:
         return 0, np.array([1.0])
-    q = ctl.rel_tol / 4.0
-    lo = max(_poisson_quantile(q, half_lam, ctl.max_terms) - 2, 0)
-    hi = _poisson_quantile(1.0 - q, half_lam, ctl.max_terms) + 2
-    while (hi - lo + 1 <= ctl.max_terms
+    q = _REL_TOL / 4.0
+    lo = max(_poisson_quantile(q, half_lam) - 2, 0)
+    hi = _poisson_quantile(1.0 - q, half_lam) + 2
+    while (hi - lo + 1 <= _MAX_TERMS
            and _poisson_cdf(hi, half_lam) - _poisson_cdf(lo - 1, half_lam)
-           < 1.0 - ctl.rel_tol):
+           < 1.0 - _REL_TOL):
         lo = max(lo - 16, 0)
         hi += 16
-    if hi - lo + 1 > ctl.max_terms:
+    if hi - lo + 1 > _MAX_TERMS:
         raise _window_overflow()
     k = np.arange(lo, hi + 1, dtype=float)
     logw = k * math.log(half_lam) - half_lam - _sp.gammaln(k + 1.0)
@@ -230,8 +217,7 @@ def _f_cdf_series(x, nu1, nu2, win1, win2):
     return min(max(val, 0.0), 1.0)
 
 
-def doubly_noncentral_f_cdf(x, nu1, nu2, lam1, lam2,
-                            ctl: SeriesControl = DEFAULT_CONTROL):
+def doubly_noncentral_f_cdf(x, nu1, nu2, lam1, lam2):
     """CDF of the ratio of two independent noncentral chi-squares,
     each divided by its degrees of freedom being unnecessary here since
     nu1 = nu2 in every use; the ratio is taken raw."""
@@ -241,22 +227,22 @@ def doubly_noncentral_f_cdf(x, nu1, nu2, lam1, lam2,
         raise ValueError("degrees of freedom must be even and positive")
     if lam1 < 0.0 or lam2 < 0.0:
         raise ValueError("noncentralities must be non-negative")
-    return _f_cdf_series(x, nu1, nu2, _poisson_window(lam1 / 2.0, ctl),
-                         _poisson_window(lam2 / 2.0, ctl))
+    return _f_cdf_series(x, nu1, nu2, _poisson_window(lam1 / 2.0),
+                         _poisson_window(lam2 / 2.0))
 
 
-def exact_ber(p: DetectionParams, ctl: SeriesControl = DEFAULT_CONTROL):
+def exact_ber(p: DetectionParams):
     """Error probability of the correlation detector at threshold
-    xi = 1, composed over the two transmit hypotheses."""
+    xi = 1, averaged over two equally likely transmit hypotheses."""
     nu = p.m_sc * p.n_chips
     lam_on = nu * p.h_on_sq / p.noise_power
     lam_off = nu * p.h_off_sq / p.noise_power
     # each window serves both series, one as j-weights, one as k-weights
-    win_on = _poisson_window(lam_on / 2.0, ctl)
-    win_off = _poisson_window(lam_off / 2.0, ctl)
+    win_on = _poisson_window(lam_on / 2.0)
+    win_off = _poisson_window(lam_off / 2.0)
     err0 = _f_cdf_series(1.0, nu, nu, win_on, win_off)
     err1 = 1.0 - _f_cdf_series(1.0, nu, nu, win_off, win_on)
-    return p.prior_s0 * err0 + (1.0 - p.prior_s0) * err1
+    return 0.5 * err0 + 0.5 * err1
 
 
 def gaussian_ber(p: DetectionParams):
@@ -294,8 +280,7 @@ def _params_for_u(u, gamma, m_sc, n_chips) -> DetectionParams:
     return _ordered_params(gamma * u, gamma, 1.0, m_sc, n_chips)
 
 
-def ber_vs_iota(iota, gamma, m_sc, n_chips,
-                ctl: SeriesControl = DEFAULT_CONTROL, engine: str = "exact"):
+def ber_vs_iota(iota, gamma, m_sc, n_chips, engine: str = "exact"):
     """BER as a function of the scatter ratio at link SNR gamma.
 
     Maps h_off^2 = gamma sigma^2 and h_on^2 = gamma sigma^2 |1+iota|^2
@@ -315,7 +300,7 @@ def ber_vs_iota(iota, gamma, m_sc, n_chips,
     if engine == "gaussian":
         return gaussian_ber(p)
     if engine == "exact":
-        return exact_ber(p, ctl)
+        return exact_ber(p)
     raise ValueError(f"unknown engine: {engine}")
 
 

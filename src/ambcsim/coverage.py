@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ber_theory import (DEFAULT_CONTROL, SeriesControl, SeriesError,
-                         _params_for_u, exact_ber, iota_magnitude_for_target)
+from .ber_theory import (SeriesError, _params_for_u, exact_ber,
+                         iota_magnitude_for_target)
 from .channel import SPEED_OF_LIGHT
 from .specfun import q_func
 
@@ -123,8 +123,7 @@ def _scatter_fields(sc: CoverageScenario):
     return u, bad
 
 
-def compute_ber_grid(sc: CoverageScenario,
-                     ctl: SeriesControl = DEFAULT_CONTROL) -> BerGrid:
+def compute_ber_grid(sc: CoverageScenario) -> BerGrid:
     """BER over the BD-position grid.
 
     The gaussian engine is evaluated vectorized. The exact engine runs
@@ -153,7 +152,7 @@ def compute_ber_grid(sc: CoverageScenario,
         for k, uv in enumerate(uniq.tolist()):
             p = _params_for_u(uv, g, sc.m_sc, sc.n_chips)
             try:
-                vals[k] = exact_ber(p, ctl)
+                vals[k] = exact_ber(p)
             except SeriesError as exc:
                 msgs[k] = str(exc)
                 vals[k] = np.nan
@@ -252,120 +251,112 @@ class ContourLine:
 
 
 # marching-squares case table: corner bit b0=(i,j) b1=(i,j+1)
-# b2=(i+1,j+1) b3=(i+1,j); edges 0=bottom 1=right 2=top 3=left
-_MS_SEGMENTS = {
+# b2=(i+1,j+1) b3=(i+1,j); edges 0=bottom 1=right 2=top 3=left. Rows 5
+# and 10 are the saddles whose cell center is at or below the level,
+# rows 16 and 17 the same saddles with it above; -1 pads single pairs.
+_MS_CASES = {
     1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
-    11: [(1, 2)], 12: [(3, 1)], 13: [(0, 1)], 14: [(0, 3)],
+    5: [(3, 0), (1, 2)], 6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)],
+    9: [(0, 2)], 10: [(0, 3), (2, 1)], 11: [(1, 2)], 12: [(3, 1)],
+    13: [(0, 1)], 14: [(0, 3)], 16: [(3, 2), (1, 0)], 17: [(0, 1), (2, 3)],
 }
-
-
-def _edge_key(edge, i, j):
-    if edge == 0:
-        return ("h", i, j)
-    if edge == 1:
-        return ("v", i, j + 1)
-    if edge == 2:
-        return ("h", i + 1, j)
-    return ("v", i, j)
+_MS_PAIRS = np.array([(_MS_CASES.get(c, []) + [(-1, -1)] * 2)[:2]
+                      for c in range(18)])
 
 
 def contour_export(grid: BerGrid, levels=DEFAULT_LEVELS) -> list:
     """Extract level-set polylines from the BER grid by marching
     squares with linear edge interpolation.
 
-    Segments meeting on a shared cell edge are stitched by the edge's
-    integer key, never by float coordinate matching, so loops close
-    exactly. Squares touching a NaN (sentinel) corner are skipped;
-    levels the grid never crosses yield no lines.
+    Every cell edge has an integer id: the horizontal edge from node
+    (i, j) to (i, j + 1) is i (nx - 1) + j, the vertical edge from
+    (i, j) to (i + 1, j) is ny (nx - 1) + i nx + j. Segments meeting on a shared cell edge are stitched by that id,
+    never by float coordinate matching, so loops close exactly.
+    Squares touching a NaN (sentinel) corner are skipped; levels the
+    grid never crosses yield no lines.
     """
     out = []
     v = grid.ber
     x = grid.x_axis
     y = grid.y_axis
+    ny, nx = v.shape
+    nh = ny * (nx - 1)
     finite = np.isfinite(v)
+    ok = (finite[:-1, :-1] & finite[:-1, 1:]
+          & finite[1:, 1:] & finite[1:, :-1])
     for level in levels:
         if not 0.0 < level < 0.5:
             raise ValueError("contour levels must be in (0, 0.5)")
         inside = np.where(finite, v > level, False)
-        b0 = inside[:-1, :-1]
-        b1 = inside[:-1, 1:]
-        b2 = inside[1:, 1:]
-        b3 = inside[1:, :-1]
-        ok = (finite[:-1, :-1] & finite[:-1, 1:]
-              & finite[1:, 1:] & finite[1:, :-1])
-        case = (b0 + 2 * b1 + 4 * b2 + 8 * b3).astype(np.int8)
+        case = (inside[:-1, :-1] + 2 * inside[:-1, 1:]
+                + 4 * inside[1:, 1:] + 8 * inside[1:, :-1]).astype(np.int8)
         case[~ok] = 0
-        segments = []
-        for i, j in np.argwhere((case != 0) & (case != 15)):
-            c = int(case[i, j])
-            if c in (5, 10):
-                center = 0.25 * (v[i, j] + v[i, j + 1]
-                                 + v[i + 1, j + 1] + v[i + 1, j])
-                if c == 5:
-                    pairs = [(3, 2), (1, 0)] if center > level \
-                        else [(3, 0), (1, 2)]
-                else:
-                    pairs = [(0, 1), (2, 3)] if center > level \
-                        else [(0, 3), (2, 1)]
-            else:
-                pairs = _MS_SEGMENTS[c]
-            for ea, eb in pairs:
-                segments.append((_edge_key(ea, i, j), _edge_key(eb, i, j)))
-        coords = {}
-        for key in {k for seg in segments for k in seg}:
-            kind, i, j = key
-            if kind == "h":
-                va, vb = v[i, j], v[i, j + 1]
-                pa = (x[j], y[i])
-                pb = (x[j + 1], y[i])
-            else:
-                va, vb = v[i, j], v[i + 1, j]
-                pa = (x[j], y[i])
-                pb = (x[j], y[i + 1])
-            t = 0.5 if vb == va else (level - va) / (vb - va)
-            coords[key] = (pa[0] + t * (pb[0] - pa[0]),
-                           pa[1] + t * (pb[1] - pa[1]))
-        for keys in _stitch(segments):
-            pts = np.array([coords[k] for k in keys])
-            out.append(ContourLine(level=float(level), points=pts))
+        # crossing cells in row-major order, their pairs in table order
+        ci, cj = np.nonzero((case != 0) & (case != 15))
+        c = case[ci, cj]
+        sad = np.flatnonzero((c == 5) | (c == 10))
+        si, sj = ci[sad], cj[sad]
+        center = 0.25 * (v[si, sj] + v[si, sj + 1]
+                         + v[si + 1, sj + 1] + v[si + 1, sj])
+        up = sad[center > level]
+        c[up] = np.where(c[up] == 5, 16, 17)
+        hid = ci * (nx - 1) + cj
+        vid = nh + ci * nx + cj
+        ids = np.stack((hid, vid + 1, hid + nx - 1, vid))
+        pairs = _MS_PAIRS[c].reshape(-1, 2)
+        cell = np.arange(pairs.shape[0]) // 2
+        keep = pairs[:, 0] >= 0
+        segs = ids[pairs[keep], cell[keep, None]]
+        # interpolate each crossed edge once, from node (i, j) to (ib, jb)
+        edge, first, node = np.unique(segs.ravel(), return_index=True,
+                                      return_inverse=True)
+        horiz = edge < nh
+        i, j = np.divmod(np.where(horiz, edge, edge - nh),
+                         np.where(horiz, nx - 1, nx))
+        ib = i + ~horiz
+        jb = j + horiz
+        va = v[i, j]
+        vb = v[ib, jb]
+        t = np.where(vb == va, 0.5, (level - va) / (vb - va))
+        pts = np.column_stack((x[j] + t * (x[jb] - x[j]),
+                               y[i] + t * (y[ib] - y[i])))
+        for path in _stitch(node.reshape(-1, 2), first):
+            out.append(ContourLine(level=float(level), points=pts[path]))
     return out
 
 
-def _stitch(segments):
-    """Join edge-key segments into maximal polylines. Open paths start
-    at odd-degree nodes; the rest are closed loops (first key repeated
-    at the end)."""
-    adj = {}
-    for a, b in segments:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    used = set()
+def _stitch(segs, first):
+    """Join segments into maximal polylines.
 
-    def walk(start):
-        path = [start]
-        node = start
-        while True:
-            nxt = None
-            for nb in adj[node]:
-                e = frozenset((node, nb)) if node != nb else (node, nb)
-                if e not in used:
-                    nxt = nb
-                    used.add(e)
-                    break
-            if nxt is None:
-                return path
-            path.append(nxt)
-            node = nxt
+    segs is an (n, 2) array of node ids 0..m-1 in which every node
+    belongs to one or two segments and no two segments join the same
+    pair of nodes; first[k] is the position of node k's first
+    appearance in segs.ravel(). Open paths start at their degree-1 end
+    seen first, in that order; closed loops follow in the order of
+    their first segment, walked from its first node to its second, with
+    the start repeated at the end.
+    """
+    flat = segs.ravel()
+    # nb[k] holds node k's neighbours, first-seen one first; -1 pads
+    nb = np.full((first.size, 2), -1)
+    nb[flat, (np.arange(flat.size) != first[flat]).astype(np.intp)] = \
+        segs[:, ::-1].ravel()
+    n0, n1 = nb[:, 0].tolist(), nb[:, 1].tolist()
+    seen = [False] * first.size
 
-    paths = []
-    for node in adj:
-        if len(adj[node]) % 2 == 1:
-            while any(frozenset((node, nb)) not in used
-                      for nb in adj[node] if nb != node):
-                paths.append(walk(node))
-    for a, b in segments:
-        e = frozenset((a, b)) if a != b else (a, b)
-        if e not in used:
-            paths.append(walk(a))
+    def walk(a, b):
+        path = [a]
+        seen[a] = True
+        while b >= 0 and not seen[b]:
+            path.append(b)
+            seen[b] = True
+            a, b = b, (n1[b] if n0[b] == a else n0[b])
+        if b >= 0:
+            path.append(b)  # a loop, back at its start
+        return path
+
+    ends = np.flatnonzero(nb[:, 1] < 0)
+    paths = [walk(s, n0[s]) for s in ends[np.argsort(first[ends])].tolist()
+             if not seen[s]]
+    paths += [walk(a, b) for a, b in segs.tolist() if not seen[a]]
     return paths

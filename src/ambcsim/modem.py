@@ -195,18 +195,27 @@ def _metric_diff(kind, ys, alphabet, ch, m_sc):
     # BesselMap: exact per-chip log likelihood ln I_v(root g) - v ln g,
     # v = M - 1; the v ln g terms and the constants cancel between
     # hypotheses because both symbols have equal on/off counts. A zero
-    # gain makes ln I_v(0) -inf under both hypotheses: its chips take the
-    # finite limit v ln(root / 2) - ln v!, plus the v ln g of the other
-    # state, which the cancellation drops from the non-zero chips.
+    # argument (zero gain or zero sample) makes ln I_v -inf: such chips
+    # take the limit v ln(root g / 2) - ln v!, with the other state's
+    # gain in place of a zero gain (the v ln g the cancellation drops
+    # from the non-zero chips), and with root / 2 read as 1 on a zero
+    # sample, whose v ln(root / 2) is the same under both hypotheses.
     nu = m_sc - 1
     root = 2.0 * np.sqrt(m_sc * ys) / s2
-    t0 = log_bessel_i(nu, root * g0)
-    t1 = log_bessel_i(nu, root * g1)
+    z0 = root * g0
+    z1 = root * g1
+    t0 = log_bessel_i(nu, z0)
+    t1 = log_bessel_i(nu, z1)
     g = g0.max()
-    if nu and g > 0.0 and g0.min() == 0.0:
-        lead = nu * np.log(root * (g / 2.0)) - math.lgamma(nu + 1.0)
-        t0 = np.where(g0 == 0.0, lead, t0)
-        t1 = np.where(g1 == 0.0, lead, t1)
+    if nu and g > 0.0 and not (z0.all() and z1.all()):
+        r = np.where(ys == 0.0, 2.0, root)
+        lead = -math.lgamma(nu + 1.0)
+        t0 = np.where(z0 == 0.0,
+                      nu * np.log(r * (np.where(g0 == 0.0, g, g0) / 2.0))
+                      + lead, t0)
+        t1 = np.where(z1 == 0.0,
+                      nu * np.log(r * (np.where(g1 == 0.0, g, g1) / 2.0))
+                      + lead, t1)
     return np.sum(t0 - t1, axis=1)
 
 

@@ -124,15 +124,22 @@ class TestDetectors:
     def test_noise_free_recovery_all_detectors_all_schemes(self):
         # the last two channels have an on-state or off-state gain of
         # exactly zero, where ln I_{M-1}(0) is -inf under both hypotheses
-        for ch in (self.ch, _channel(0.0, 1.0, 0.5), _channel(1.0, 0.0, 0.5)):
+        for ch in (self.ch, _channel(4.0, 1.0, 1.0), _channel(0.0, 1.0, 0.5),
+                   _channel(1.0, 0.0, 0.5)):
             rng = np.random.default_rng(3)
             for scheme in ("BPSK", "FSK", "DBPSK"):
                 a = make_alphabet(scheme, 4)
                 bits = rng.integers(0, 2, 40)
                 ys = _mean_energies(bits, a, ch, 288)
-                for kind in DETECTOR_KINDS:
-                    got = demodulate_stream(kind, ys, a, ch, 288)
-                    assert np.array_equal(got, bits), (ch, scheme, kind)
+                # each symbol's last chip, where it is a low-energy one,
+                # zeroed (BPSK bit 1 on the second channel reads
+                # [1440, 576, 1440, 0]): a zero sample, where
+                # ln I_{M-1}(0) = -inf, only strengthens the true hypothesis
+                low = (ys == ys.min()) & (np.arange(ys.size) % 4 == 3)
+                for y in (ys, np.where(low, 0.0, ys)):
+                    for kind in DETECTOR_KINDS:
+                        got = demodulate_stream(kind, y, a, ch, 288)
+                        assert np.array_equal(got, bits), (ch, scheme, kind)
 
     def test_tie_resolves_to_zero(self):
         # constant energies null every pattern correlation
