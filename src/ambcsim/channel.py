@@ -106,10 +106,15 @@ def scatter_ratio(geom: LinkGeometry, lam: float) -> complex:
     """
     if lam <= 0.0:
         raise ValueError("wavelength must be positive")
-    d_d, d_s, d_b = geom.d_d, geom.d_s, geom.d_b
-    mag = (lam / _FOUR_PI) * d_d / (d_s * d_b)
-    phase = 2.0 * np.pi * (d_d - d_b - d_s) / lam
+    mag, phase = _scatter(geom.d_d, geom.d_s, geom.d_b, lam)
     return mag * np.exp(1j * phase)
+
+
+def _scatter(d_d, d_s, d_b, lam):
+    """Magnitude and phase of iota from the leg lengths (elementwise on
+    arrays): (lam / 4 pi) d_d / (d_s d_b), 2 pi (d_d - d_b - d_s) / lam."""
+    return ((lam / _FOUR_PI) * d_d / (d_s * d_b),
+            2.0 * np.pi * (d_d - d_b - d_s) / lam)
 
 
 def lte_snr(ch: ChannelSet) -> float:

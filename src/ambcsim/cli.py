@@ -14,9 +14,11 @@ config reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -30,34 +32,43 @@ from .channel import _gamma_b
 from .coverage import (DEFAULT_LEVELS, CoverageScenario, centered_grid,
                        compute_ber_grid, contour_export, range_estimate)
 from .modem import DETECTOR_KINDS
-from .montecarlo import (SweepConfig, compare_receivers, measurement_config,
+from .montecarlo import (BerPoint, DisagreementCount, PacketRecord,
+                         SweepConfig, compare_receivers, measurement_config,
                          replicate_measurement, run_ber_sweep, theory_points)
 
-_BER_COLUMNS = ("gamma_db", "gamma_b_db", "receiver", "source", "ber",
-                "n_errors", "n_bits", "ci_low", "ci_high")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+def _column_format(v) -> str:
+    if isinstance(v, (int, np.integer)):  # bools too: True prints 1
+        return "%d"
     if isinstance(v, (float, np.floating)):
-        return "%.9g" % float(v)
-    return str(v)
+        return "%.9g"
+    return "%s"
 
 
 def write_csv(path, header, rows):
+    """Write a header line and one line per row tuple.
+
+    Each column's format comes from its cell in the first row: ints and
+    bools (numpy ones too) print with %d, floats (numpy ones too) with
+    %.9g, anything else with %s. A column must therefore hold one type
+    in every row; %d would silently truncate a float. rows may be any
+    iterable and is streamed, never held in memory.
+    """
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        first = next(rows, None)
+        if first is None:
+            return
+        fmt = ",".join(map(_column_format, first)) + "\n"
+        f.write(fmt % first)
+        f.writelines(fmt % row for row in rows)
 
 
-def _ber_rows(points):
-    for p in points:
-        yield (p.gamma_db, p.gamma_b_db, p.receiver, p.source, p.ber,
-               p.n_errors, p.n_bits, p.ci_low, p.ci_high)
+def _write_records(path, cls, records):
+    """CSV of dataclass records of type cls: one column per field, in
+    field order, so an empty list still writes the header."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    write_csv(path, names, map(operator.attrgetter(*names), records))
 
 
 def parse_grid(text: str):
@@ -123,9 +134,7 @@ def _apply_config(sub: argparse.ArgumentParser, cfg: dict):
     """Config values become subparser defaults, converted with each
     flag's own type; explicit CLI flags still take precedence."""
     defaults = {}
-    known = {}
-    for action in sub._actions:
-        known[action.dest] = action
+    known = {action.dest: action for action in sub._actions}
     for key, raw in cfg.items():
         if key not in known:
             raise ValueError(f"unknown config key: {key}")
@@ -238,18 +247,9 @@ def _sha256(path):
 
 
 def _manifest(args, outputs, started, out_dir):
-    snapshot = {}
-    for key, val in sorted(vars(args).items()):
-        if key in ("config", "func"):
-            continue
-        if isinstance(val, tuple):
-            val = list(val)
-        if isinstance(val, complex):
-            val = str(val)
-        snapshot[key] = val
     doc = {
         "subcommand": args.subcommand,
-        "config": snapshot,
+        "config": {k: v for k, v in vars(args).items() if k != "config"},
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "started_utc": started,
@@ -259,7 +259,8 @@ def _manifest(args, outputs, started, out_dir):
     }
     path = os.path.join(out_dir, "run_manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        # tuples dump as arrays; str gives complex values their text
+        json.dump(doc, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
 
 
@@ -267,7 +268,7 @@ def _sweep_config_from_args(args, n_symbols, detectors, scheme):
     return SweepConfig(
         snr_grid_db=tuple(args.gamma), n_symbols_per_point=n_symbols,
         scheme=scheme, detectors=detectors, seed=args.seed,
-        fast_path=not getattr(args, "per_re", False),
+        per_re=getattr(args, "per_re", False),
         m_sc=args.msc, n_chips=args.n,
         direct_gain_db=args.direct_db, scatter_gain_db=args.scatter_db,
         scatter_phase_rad=args.scatter_phase,
@@ -303,7 +304,7 @@ def cmd_simulate(args, out_dir):
                                   args.scheme)
     points = run_ber_sweep(cfg, threads=args.threads)
     path = os.path.join(out_dir, "simulate.csv")
-    write_csv(path, _BER_COLUMNS, _ber_rows(points))
+    _write_records(path, BerPoint, points)
     return [path], 0
 
 
@@ -313,12 +314,9 @@ def cmd_compare(args, out_dir):
     points, disagreements = compare_receivers(cfg, y_model=args.y_model,
                                               threads=args.threads)
     p1 = os.path.join(out_dir, "compare.csv")
-    write_csv(p1, _BER_COLUMNS, _ber_rows(points))
+    _write_records(p1, BerPoint, points)
     p2 = os.path.join(out_dir, "disagreement.csv")
-    write_csv(p2, ("gamma_db", "receiver_a", "receiver_b", "n_disagree",
-                   "n_symbols"),
-              ((d.gamma_db, d.receiver_a, d.receiver_b, d.n_disagree,
-                d.n_symbols) for d in disagreements))
+    _write_records(p2, DisagreementCount, disagreements)
     return [p1, p2], 0
 
 
@@ -330,26 +328,25 @@ def cmd_coverage(args, out_dir):
         m_sc=args.msc, n_chips=args.n,
         grid=centered_grid(tuple(args.ue), args.half_span, args.resolution),
         engine=args.engine)
+    # levels and targets are all checked before any file is written
     grid = compute_ber_grid(sc)
-    rows = []
-    for i, yv in enumerate(grid.y_axis):
-        for j, xv in enumerate(grid.x_axis):
-            rows.append((xv, yv, grid.ber[i, j]))
-    p1 = os.path.join(out_dir, "coverage_grid.csv")
-    write_csv(p1, ("x", "y", "ber"), rows)
     lines = contour_export(grid, tuple(args.levels))
-    crows = []
-    for li, line in enumerate(lines):
-        for vi, (xv, yv) in enumerate(line.points):
-            crows.append((line.level, li, vi, xv, yv))
-    p2 = os.path.join(out_dir, "contours.csv")
-    write_csv(p2, ("level", "line_id", "vertex_id", "x", "y"), crows)
     lam = sc.wavelength
     rrows = []
     for target in args.range_targets:
         radius = range_estimate(sc, float(target))
         rrows.append((target, radius, lam,
                       radius / lam if lam > 0 else float("nan")))
+    x, y = grid.x_axis, grid.y_axis
+    p1 = os.path.join(out_dir, "coverage_grid.csv")
+    write_csv(p1, ("x", "y", "ber"),
+              zip(np.tile(x, y.size).tolist(), np.repeat(y, x.size).tolist(),
+                  grid.ber.ravel().tolist()))
+    p2 = os.path.join(out_dir, "contours.csv")
+    write_csv(p2, ("level", "line_id", "vertex_id", "x", "y"),
+              ((line.level, li, vi, xv, yv)
+               for li, line in enumerate(lines)
+               for vi, (xv, yv) in enumerate(line.points.tolist())))
     p3 = os.path.join(out_dir, "range.csv")
     write_csv(p3, ("ber_target", "radius_m", "wavelength_m",
                    "radius_wavelengths"), rrows)
@@ -362,12 +359,9 @@ def cmd_replicate(args, out_dir):
                              seed=args.seed)
     points, packets = replicate_measurement(cfg, threads=args.threads)
     p1 = os.path.join(out_dir, "replicate.csv")
-    write_csv(p1, _BER_COLUMNS, _ber_rows(points))
+    _write_records(p1, BerPoint, points)
     p2 = os.path.join(out_dir, "packets.csv")
-    write_csv(p2, ("gamma_b_db", "lead_chips", "sync_offset", "sync_ok",
-                   "n_errors", "n_bits"),
-              ((r.gamma_b_db, r.lead_chips, r.sync_offset, r.sync_ok,
-                r.n_errors, r.n_bits) for r in packets))
+    _write_records(p2, PacketRecord, packets)
     return [p1, p2], 0
 
 
@@ -381,21 +375,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", type=str, default=None)
-    pre_args, _ = pre.parse_known_args(argv)
-    if pre_args.config is not None:
-        cfg = load_config(pre_args.config)
-        name = next((a for a in argv if a in subparsers), None)
-        if name is None:
-            parser.error("--config requires a subcommand")
-        try:
-            _apply_config(subparsers[name], cfg)
-        except ValueError as exc:
-            parser.error(str(exc))
     args = parser.parse_args(argv)
+    if args.config is not None:
+        # the file's values become defaults of the chosen subcommand;
+        # parsing again lets explicit flags win over them
+        try:
+            _apply_config(subparsers[args.subcommand],
+                          load_config(args.config))
+            args = parser.parse_args(argv)
+        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(str(exc))
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -404,6 +394,8 @@ def main(argv=None) -> int:
     except SeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a flag value outside the library's domain
+        parser.error(str(exc))
     _manifest(args, outputs, started, out_dir)
     return status
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ber_theory import (SeriesError, _params_for_u, exact_ber,
                          iota_magnitude_for_target)
-from .channel import SPEED_OF_LIGHT
+from .channel import SPEED_OF_LIGHT, _scatter
 from .specfun import q_func
 
 DEFAULT_LEVELS = (0.4, 0.3, 0.2, 0.1, 0.05, 0.01)
@@ -117,8 +117,7 @@ def _scatter_fields(sc: CoverageScenario):
     half_diag = 0.5 * math.hypot(x[1] - x[0], y[1] - y[0])
     bad = (d_s <= half_diag) | (d_b <= half_diag)
     with np.errstate(divide="ignore", invalid="ignore"):
-        amag = (lam / (4.0 * math.pi)) * d_d / (d_s * d_b)
-        phase = 2.0 * math.pi * (d_d - d_b - d_s) / lam
+        amag, phase = _scatter(d_d, d_s, d_b, lam)
         u = 1.0 + 2.0 * amag * np.cos(phase) + amag * amag
     return u, bad
 
@@ -190,7 +189,7 @@ def range_estimate(sc: CoverageScenario, ber_target: float) -> float:
     d_d = sc.d_d
 
     def excess(d_s):
-        return (lam / (4.0 * math.pi)) * d_d / (d_s * (d_d + d_s)) - c
+        return _scatter(d_d, d_s, d_d + d_s, lam)[0] - c
 
     lo = lam * 1e-9
     if excess(lo) <= 0.0:

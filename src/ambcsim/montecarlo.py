@@ -48,7 +48,7 @@ class SweepConfig:
     scheme: str = "BPSK"
     detectors: tuple = ("Correlation",)
     seed: int = 0
-    fast_path: bool = True
+    per_re: bool = False
     m_sc: int = 288
     n_chips: int = 4
     direct_gain_db: float = -52.2
@@ -86,11 +86,11 @@ class BerPoint:
 
     gamma_db: float
     gamma_b_db: float
+    receiver: str
+    source: str
     ber: float
     n_errors: int
     n_bits: int
-    receiver: str
-    source: str
     ci_low: float = float("nan")
     ci_high: float = float("nan")
 
@@ -206,7 +206,7 @@ def _simulate_shard(cfg: SweepConfig, gamma_db: float, point_index: int,
     h = np.where(chips > 0, h_on, h_off)
     if y_model == "chi2":
         ys = energy_stream(h, cfg.m_sc, ch.noise_power, rng,
-                           per_re=not cfg.fast_path)
+                           per_re=cfg.per_re)
     elif y_model == "gaussian":
         s2 = ch.noise_power
         g2 = np.abs(h) ** 2
@@ -376,7 +376,7 @@ def _replicate_point(cfg: SweepConfig, pi: int, gb_db: float):
             encode_frame(payload, alphabet, idle_chips=tail)])
         h = np.where(chips > 0, h_on, h_off)
         ys = energy_stream(h, cfg.m_sc, noise, rng,
-                           per_re=not cfg.fast_path)
+                           per_re=cfg.per_re)
         llr = sgn * (ys - mid)
         offset = frame_sync(llr, alphabet)
         ok = offset is not None and int(offset) == lead

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from ambcsim.cli import (
@@ -14,6 +15,7 @@ from ambcsim.cli import (
     parse_grid,
     parse_levels,
     parse_pair,
+    write_csv,
 )
 from oracles import EXACT_BER_SWEEP
 
@@ -94,13 +96,64 @@ class TestConfigFile:
         assert doc["config"]["seed"] == 9
         assert doc["seed"] == 9
 
-    def test_unknown_key_is_usage_error(self, tmp_path):
+    # config text (None: no file) and the arguments; CFG is the file
+    @pytest.mark.parametrize("text, argv", [
+        pytest.param("warp_drive=1\n", ["theory", "--config", "CFG"],
+                     id="unknown-key"),
+        pytest.param("gamma = 5:1:0\n", ["theory", "--config", "CFG"],
+                     id="config-bad-grid"),
+        pytest.param("seed 9\n", ["theory", "--config", "CFG"],
+                     id="config-line-without-equals"),
+        pytest.param(None, ["theory", "--config", "CFG"],
+                     id="config-file-missing"),
+        pytest.param(None, ["coverage", "--resolution", "12", "--levels",
+                            "0.7"], id="coverage-levels"),
+        pytest.param(None, ["coverage", "--resolution", "12",
+                            "--range-targets", "0.7"],
+                     id="coverage-range-targets"),
+        pytest.param(None, ["coverage", "--resolution", "1"],
+                     id="coverage-resolution"),
+        pytest.param(None, ["simulate", "--symbols", "50"],
+                     id="simulate-symbols"),
+        pytest.param(None, ["simulate", "--gamma", "5,3"],
+                     id="simulate-gamma-order"),
+        pytest.param(None, ["simulate", "--n", "3"], id="simulate-odd-n"),
+        pytest.param(None, ["replicate", "--symbols", "50"],
+                     id="replicate-symbols"),
+    ])
+    def test_unknown_key_is_usage_error(self, tmp_path, text, argv):
         cfgf = tmp_path / "run.cfg"
-        cfgf.write_text("warp_drive=1\n")
+        if text is not None:
+            cfgf.write_text(text)
+        out = tmp_path / "out"
+        argv = [str(cfgf) if a == "CFG" else a for a in argv]
         with pytest.raises(SystemExit) as e:
-            main(["theory", "--config", str(cfgf), "--out-dir",
-                  str(tmp_path)])
+            main(argv + ["--out-dir", str(out)])
         assert e.value.code == 2
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestCsvWriter:
+    def test_column_formats(self, tmp_path):
+        rows = [
+            (True, 7, np.int64(-3), 0.1, np.float64(2.0 / 3.0),
+             float("nan"), float("inf"), -0.0, 1e-300, "Power"),
+            (False, -12345678901, np.int64(0), 123456789.5,
+             np.float64(-1e21), float("-inf"), 5e-324, 0.0, -1e-300,
+             "theory_exact"),
+        ]
+        path = tmp_path / "t.csv"
+        write_csv(path, [f"c{k}" for k in range(10)], iter(rows))
+        assert path.read_bytes() == (
+            b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9\n"
+            b"1,7,-3,0.1,0.666666667,nan,inf,-0,1e-300,Power\n"
+            b"0,-12345678901,0,123456790,-1e+21,-inf,4.94065646e-324,0,"
+            b"-1e-300,theory_exact\n")
+
+    def test_no_rows_writes_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b"), iter(()))
+        assert path.read_bytes() == b"a,b\n"
 
 
 class TestTheoryCommand:

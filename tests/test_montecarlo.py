@@ -141,7 +141,7 @@ class TestSweep:
     def test_per_re_path_statistically_equal(self):
         fast = run_ber_sweep(small_cfg(n_symbols_per_point=2000))
         slow = run_ber_sweep(small_cfg(n_symbols_per_point=2000,
-                                       fast_path=False))
+                                       per_re=True))
         a = [p for p in fast if p.source == "simulation"][0]
         b = [p for p in slow if p.source == "simulation"][0]
         pool = (a.n_errors + b.n_errors) / (a.n_bits + b.n_bits)
