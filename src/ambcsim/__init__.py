@@ -20,8 +20,9 @@ from .modem import (BARKER7, DETECTOR_KINDS, FRAME_BITS, PAYLOAD_BITS,
                     make_alphabet)
 from .montecarlo import (BerPoint, DisagreementCount, PacketRecord,
                          SweepConfig, channel_for_snr, compare_receivers,
-                         measurement_config, replicate_measurement,
-                         run_ber_sweep, theory_points, wilson_interval)
+                         flat_channel, measurement_config,
+                         replicate_measurement, run_ber_sweep, theory_points,
+                         wilson_interval)
 from .specfun import log_bessel_i, q_func, q_inv
 
 __all__ = [
@@ -35,8 +36,8 @@ __all__ = [
     "ber_vs_iota", "centered_grid", "channel_for_snr", "compare_receivers",
     "composite_gain", "compute_ber_grid", "contour_export",
     "demodulate_stream", "detect", "doubly_noncentral_f_cdf", "encode_bits",
-    "encode_frame", "energy_stream", "exact_ber", "frame_sync", "from_db",
-    "fsk_coherent_ber", "fspl_gain", "gaussian_ber",
+    "encode_frame", "energy_stream", "exact_ber", "flat_channel",
+    "frame_sync", "from_db", "fsk_coherent_ber", "fspl_gain", "gaussian_ber",
     "iota_magnitude_for_target", "log_bessel_i", "lte_snr", "make_alphabet",
     "measurement_config", "params_for_scheme", "q_func", "q_inv",
     "range_estimate", "replicate_measurement", "run_ber_sweep",

@@ -33,8 +33,9 @@ from .coverage import (DEFAULT_LEVELS, CoverageScenario, centered_grid,
                        compute_ber_grid, contour_export, range_estimate)
 from .modem import DETECTOR_KINDS
 from .montecarlo import (BerPoint, DisagreementCount, PacketRecord,
-                         SweepConfig, compare_receivers, measurement_config,
-                         replicate_measurement, run_ber_sweep, theory_points)
+                         SweepConfig, compare_receivers, flat_channel,
+                         measurement_config, replicate_measurement,
+                         run_ber_sweep, theory_points)
 
 def _column_format(v) -> str:
     if isinstance(v, (int, np.integer)):  # bools too: True prints 1
@@ -71,6 +72,14 @@ def _write_records(path, cls, records):
     write_csv(path, names, map(operator.attrgetter(*names), records))
 
 
+def finite(text: str) -> float:
+    """A float flag value; nan and inf are usage errors."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text}")
+    return x
+
+
 def parse_grid(text: str):
     """Grid values from 'start:step:stop' (inclusive) or a comma list."""
     text = text.strip()
@@ -79,24 +88,24 @@ def parse_grid(text: str):
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(
                 "range must be start:step:stop")
-        a, b, c = (float(p) for p in parts)
+        a, b, c = (finite(p) for p in parts)
         if b <= 0.0 or c < a:
             raise argparse.ArgumentTypeError(
                 "range needs step > 0 and stop >= start")
         count = int(math.floor((c - a) / b + 1e-9)) + 1
         return tuple(a + i * b for i in range(count))
-    return tuple(float(p) for p in text.split(","))
+    return tuple(finite(p) for p in text.split(","))
 
 
 def parse_pair(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected x,y")
-    return (float(parts[0]), float(parts[1]))
+    return (finite(parts[0]), finite(parts[1]))
 
 
 def parse_levels(text: str):
-    return tuple(float(p) for p in text.split(","))
+    return tuple(finite(p) for p in text.split(","))
 
 
 def parse_detectors(text: str):
@@ -109,9 +118,12 @@ def parse_detectors(text: str):
 
 def parse_complex(text: str):
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad complex value: {text}") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text}")
+    return z
 
 
 def load_config(path: str) -> dict:
@@ -130,18 +142,25 @@ def load_config(path: str) -> dict:
     return out
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config(sub: argparse.ArgumentParser, cfg: dict):
     """Config values become subparser defaults, converted with each
     flag's own type; explicit CLI flags still take precedence."""
     defaults = {}
-    known = {action.dest: action for action in sub._actions}
+    known = {action.dest: action for action in sub._actions
+             if not isinstance(action, argparse._HelpAction)}
     for key, raw in cfg.items():
         if key not in known:
             raise ValueError(f"unknown config key: {key}")
         action = known[key]
         if isinstance(action, (argparse._StoreTrueAction,
                                argparse._StoreFalseAction)):
-            defaults[key] = raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in _BOOLEANS:
+                raise ValueError(f"bad boolean value for {key}: {raw}")
+            defaults[key] = _BOOLEANS[raw.lower()]
         elif action.type is not None:
             defaults[key] = action.type(raw)
         else:
@@ -160,9 +179,9 @@ def _add_common(sub):
 def _add_link_flags(sub):
     sub.add_argument("--msc", type=int, default=288)
     sub.add_argument("--n", type=int, default=4)
-    sub.add_argument("--direct-db", type=float, default=-52.2)
-    sub.add_argument("--scatter-db", type=float, default=-82.6)
-    sub.add_argument("--scatter-phase", type=float, default=0.0)
+    sub.add_argument("--direct-db", type=finite, default=-52.2)
+    sub.add_argument("--scatter-db", type=finite, default=-82.6)
+    sub.add_argument("--scatter-phase", type=finite, default=0.0)
 
 
 def build_parser():
@@ -191,8 +210,8 @@ def build_parser():
                    choices=("BPSK", "FSK", "DBPSK"))
     s.add_argument("--detectors", type=parse_detectors,
                    default=("Correlation",))
-    s.add_argument("--depth", type=float, default=1.0)
-    s.add_argument("--off-depth", type=float, default=0.0)
+    s.add_argument("--depth", type=finite, default=1.0)
+    s.add_argument("--off-depth", type=finite, default=0.0)
     s.add_argument("--per-re", action="store_true",
                    help="synthesize every subcarrier instead of sampling "
                         "the energy law directly")
@@ -212,11 +231,11 @@ def build_parser():
 
     v = subs.add_parser("coverage", help="BER map over BD positions")
     _add_common(v)
-    v.add_argument("--freq-mhz", type=float, default=782.0)
-    v.add_argument("--gamma-db", type=float, default=10.0)
+    v.add_argument("--freq-mhz", type=finite, default=782.0)
+    v.add_argument("--gamma-db", type=finite, default=10.0)
     v.add_argument("--bs", type=parse_pair, default=(50.0, 0.0))
     v.add_argument("--ue", type=parse_pair, default=(0.0, 0.0))
-    v.add_argument("--half-span", type=float, default=2.0)
+    v.add_argument("--half-span", type=finite, default=2.0)
     v.add_argument("--resolution", type=int, default=200)
     v.add_argument("--engine", type=str, default="gaussian",
                    choices=("gaussian", "exact"))
@@ -270,10 +289,10 @@ def _sweep_config_from_args(args, n_symbols, detectors, scheme):
         scheme=scheme, detectors=detectors, seed=args.seed,
         per_re=getattr(args, "per_re", False),
         m_sc=args.msc, n_chips=args.n,
-        direct_gain_db=args.direct_db, scatter_gain_db=args.scatter_db,
-        scatter_phase_rad=args.scatter_phase,
-        bd_modulation_depth=getattr(args, "depth", 1.0),
-        bd_off_depth=getattr(args, "off_depth", 0.0))
+        channel=flat_channel(args.direct_db, args.scatter_db,
+                             args.scatter_phase,
+                             getattr(args, "depth", 1.0),
+                             getattr(args, "off_depth", 0.0)))
 
 
 def cmd_theory(args, out_dir):

@@ -13,11 +13,11 @@ by index, so thread count never changes any output bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
-from typing import Optional
 
 import numpy as np
 
@@ -33,14 +33,29 @@ from .modem import (DETECTOR_KINDS, FRAME_BITS, PAYLOAD_BITS, SCHEMES,
 _SHARD_SYMBOLS = 2500
 
 
+def flat_channel(direct_gain_db: float = -52.2,
+                 scatter_gain_db: float = -82.6,
+                 scatter_phase_rad: float = 0.0,
+                 bd_modulation_depth: float = 1.0,
+                 bd_off_depth: float = 0.0) -> ChannelSet:
+    """ChannelSet with flat path attenuations in dB, a fixed scatter
+    phase and a unit BD-to-BS leg, at noise power 1."""
+    h_d = 10.0 ** (direct_gain_db / 20.0)
+    h_s = 10.0 ** (scatter_gain_db / 20.0) * np.exp(1j * scatter_phase_rad)
+    return ChannelSet(h_d=complex(h_d), h_s=complex(h_s), h_b=complex(1.0),
+                      noise_power=1.0,
+                      bd_modulation_depth=bd_modulation_depth,
+                      bd_off_depth=bd_off_depth)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Scenario and sampling plan for a BER sweep.
 
-    The scattered path is either an explicit geometry (free-space legs
-    at carrier_freq_hz) or flat path attenuations in dB with a fixed
-    phase. snr_grid_db sweeps the cellular SNR gamma by scaling the
-    noise power, keeping the path gains and hence iota fixed.
+    channel holds the path gains and BD depths. snr_grid_db sweeps the
+    cellular SNR gamma by setting the noise power at each point, so
+    channel.noise_power is not used, and the path gains and hence iota
+    stay fixed.
     """
 
     snr_grid_db: tuple
@@ -51,13 +66,7 @@ class SweepConfig:
     per_re: bool = False
     m_sc: int = 288
     n_chips: int = 4
-    direct_gain_db: float = -52.2
-    scatter_gain_db: float = -82.6
-    scatter_phase_rad: float = 0.0
-    bd_modulation_depth: float = 1.0
-    bd_off_depth: float = 0.0
-    geometry: Optional[LinkGeometry] = None
-    carrier_freq_hz: float = 782e6
+    channel: ChannelSet = flat_channel()
 
     def __post_init__(self):
         grid = tuple(float(g) for g in self.snr_grid_db)
@@ -134,28 +143,8 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
 
 def channel_for_snr(cfg: SweepConfig, gamma_db: float) -> ChannelSet:
     """ChannelSet at cellular SNR gamma_db with the config's paths."""
-    h_d = _path_gains(cfg)[0]
-    return _channel(cfg, abs(h_d) ** 2 / from_db(gamma_db))
-
-
-def _channel(cfg: SweepConfig, noise_power: float) -> ChannelSet:
-    """ChannelSet with the config's paths and BD depths at noise_power."""
-    h_d, h_s, h_b = _path_gains(cfg)
-    return ChannelSet(h_d=h_d, h_s=h_s, h_b=h_b, noise_power=noise_power,
-                      bd_modulation_depth=cfg.bd_modulation_depth,
-                      bd_off_depth=cfg.bd_off_depth)
-
-
-def _path_gains(cfg: SweepConfig):
-    if cfg.geometry is not None:
-        lam = SPEED_OF_LIGHT / cfg.carrier_freq_hz
-        g = cfg.geometry
-        return (fspl_gain(g.d_d, lam), fspl_gain(g.d_s, lam),
-                fspl_gain(g.d_b, lam))
-    h_d = 10.0 ** (cfg.direct_gain_db / 20.0)
-    h_s = 10.0 ** (cfg.scatter_gain_db / 20.0) * np.exp(
-        1j * cfg.scatter_phase_rad)
-    return complex(h_d), complex(h_s), complex(1.0)
+    noise = abs(cfg.channel.h_d) ** 2 / from_db(gamma_db)
+    return replace(cfg.channel, noise_power=noise)
 
 
 def theory_points(cfg: SweepConfig, gamma_db: float):
@@ -181,13 +170,8 @@ def theory_points(cfg: SweepConfig, gamma_db: float):
 
 
 def _shard_sizes(total: int):
-    sizes = []
-    left = total
-    while left > 0:
-        take = min(_SHARD_SYMBOLS, left)
-        sizes.append(take)
-        left -= take
-    return sizes
+    return [min(_SHARD_SYMBOLS, total - k)
+            for k in range(0, total, _SHARD_SYMBOLS)]
 
 
 def _simulate_shard(cfg: SweepConfig, gamma_db: float, point_index: int,
@@ -215,16 +199,11 @@ def _simulate_shard(cfg: SweepConfig, gamma_db: float, point_index: int,
         ys = np.maximum(rng.normal(mu, np.sqrt(var)), 0.0)
     else:
         raise ValueError(f"unknown y_model: {y_model}")
-    errors = []
-    decoded_all = []
-    for det in cfg.detectors:
-        decoded = demodulate_stream(det, ys, alphabet, ch, cfg.m_sc)
-        decoded_all.append(decoded)
-        errors.append(int(np.sum(decoded != bits)))
-    disagree = []
-    for a in range(len(cfg.detectors)):
-        for b in range(a + 1, len(cfg.detectors)):
-            disagree.append(int(np.sum(decoded_all[a] != decoded_all[b])))
+    decoded_all = [demodulate_stream(det, ys, alphabet, ch, cfg.m_sc)
+                   for det in cfg.detectors]
+    errors = [int(np.sum(d != bits)) for d in decoded_all]
+    disagree = [int(np.sum(a != b))
+                for a, b in itertools.combinations(decoded_all, 2)]
     return errors, disagree, n_symbols
 
 
@@ -242,10 +221,9 @@ def _pool_map(fn, tasks, threads: int):
 def _run_shards(cfg: SweepConfig, threads: int, y_model: str):
     """All (point, shard) tasks, merged by index into per-point error
     and disagreement totals."""
-    tasks = []
-    for pi, gdb in enumerate(cfg.snr_grid_db):
-        for si, n in enumerate(_shard_sizes(cfg.n_symbols_per_point)):
-            tasks.append((cfg, float(gdb), pi, si, n, y_model))
+    tasks = [(cfg, float(gdb), pi, si, n, y_model)
+             for pi, gdb in enumerate(cfg.snr_grid_db)
+             for si, n in enumerate(_shard_sizes(cfg.n_symbols_per_point))]
     results = _pool_map(_simulate_shard, tasks, threads)
     n_det = len(cfg.detectors)
     n_pairs = n_det * (n_det - 1) // 2
@@ -255,8 +233,7 @@ def _run_shards(cfg: SweepConfig, threads: int, y_model: str):
     counts = np.zeros(n_points, dtype=int)
     for (cfg_, gdb, pi, si, n, ym), (errs, dis, nn) in zip(tasks, results):
         errors[pi] += np.asarray(errs, dtype=int)
-        if n_pairs:
-            disagree[pi] += np.asarray(dis, dtype=int)
+        disagree[pi] += np.asarray(dis, dtype=int)
         counts[pi] += nn
     return errors, disagree, counts
 
@@ -274,20 +251,23 @@ def run_ber_sweep(cfg: SweepConfig, threads: int = 1):
     return points
 
 
+def _sim_point(gamma_db: float, gamma_b_db: float, receiver: str, k: int,
+               n: int) -> BerPoint:
+    """Simulation BerPoint of k errors in n bits, with the 95% Wilson
+    interval."""
+    lo, hi = wilson_interval(k, n)
+    return BerPoint(gamma_db=gamma_db, gamma_b_db=gamma_b_db, ber=k / n,
+                    n_errors=k, n_bits=n, receiver=receiver,
+                    source="simulation", ci_low=lo, ci_high=hi)
+
+
 def _sim_points(cfg: SweepConfig, gdb: float, errors_row, n: int):
     """One simulation BerPoint per detector at SNR point gdb, from its
-    error counts over n bits, with the 95% Wilson interval."""
+    error counts over n bits."""
     ch = channel_for_snr(cfg, gdb)
     gb_db = to_db(snr_per_bit(ch, cfg.n_chips, cfg.m_sc))
-    points = []
-    for det, k in zip(cfg.detectors, errors_row):
-        k = int(k)
-        lo, hi = wilson_interval(k, n)
-        points.append(BerPoint(
-            gamma_db=gdb, gamma_b_db=gb_db, ber=k / n, n_errors=k,
-            n_bits=n, receiver=det, source="simulation",
-            ci_low=lo, ci_high=hi))
-    return points
+    return [_sim_point(gdb, gb_db, det, int(k), n)
+            for det, k in zip(cfg.detectors, errors_row)]
 
 
 def compare_receivers(cfg: SweepConfig, y_model: str = "chi2",
@@ -307,14 +287,11 @@ def compare_receivers(cfg: SweepConfig, y_model: str = "chi2",
         gdb = float(gdb)
         n = int(counts[pi])
         points.extend(_sim_points(cfg, gdb, errors[pi], n))
-        pair = 0
-        for a in range(len(cfg.detectors)):
-            for b in range(a + 1, len(cfg.detectors)):
-                rows.append(DisagreementCount(
-                    gamma_db=gdb, receiver_a=cfg.detectors[a],
-                    receiver_b=cfg.detectors[b],
-                    n_disagree=int(disagree[pi, pair]), n_symbols=n))
-                pair += 1
+        pairs = itertools.combinations(cfg.detectors, 2)
+        rows.extend(DisagreementCount(
+            gamma_db=gdb, receiver_a=a, receiver_b=b,
+            n_disagree=int(k), n_symbols=n)
+            for (a, b), k in zip(pairs, disagree[pi]))
     return points, rows
 
 
@@ -330,21 +307,24 @@ def measurement_config(snr_per_bit_grid_db, n_symbols_per_point: int = 9999,
     y = math.sqrt(d_s ** 2 - x ** 2)
     geom = LinkGeometry(bs_pos=(d_d, 0.0), ue_pos=(0.0, 0.0),
                         bd_pos=(x, y))
+    lam = SPEED_OF_LIGHT / 2560e6
+    ch = ChannelSet(h_d=fspl_gain(geom.d_d, lam),
+                    h_s=fspl_gain(geom.d_s, lam),
+                    h_b=fspl_gain(geom.d_b, lam), noise_power=1.0,
+                    bd_modulation_depth=10.0 ** (-0.5 / 20.0),
+                    bd_off_depth=10.0 ** (-23.0 / 20.0))
     return SweepConfig(
         snr_grid_db=tuple(float(g) for g in snr_per_bit_grid_db),
         n_symbols_per_point=n_symbols_per_point,
         scheme="FSK", detectors=("Correlation",), seed=seed,
-        n_chips=20, geometry=geom, carrier_freq_hz=2560e6,
-        bd_modulation_depth=10.0 ** (-0.5 / 20.0),
-        bd_off_depth=10.0 ** (-23.0 / 20.0))
+        n_chips=20, channel=ch)
 
 
 def _noise_for_gamma_b(cfg: SweepConfig, gamma_b: float) -> float:
     """Noise power giving the requested per-bit SNR with the config's
     fixed path gains (closed-form root of the gamma_b definition)."""
-    ch = _channel(cfg, 1.0)  # the composite gains do not see the noise
-    on = abs(composite_gain(ch, +1)) ** 2
-    off = abs(composite_gain(ch, -1)) ** 2
+    on = abs(composite_gain(cfg.channel, +1)) ** 2
+    off = abs(composite_gain(cfg.channel, -1)) ** 2
     s = on + off
     d = on - off
     nm = cfg.n_chips * cfg.m_sc
@@ -359,7 +339,7 @@ def _replicate_point(cfg: SweepConfig, pi: int, gb_db: float):
     n_frames = max(1, cfg.n_symbols_per_point // FRAME_BITS)
     tail = SYNC_BITS.size * n
     noise = _noise_for_gamma_b(cfg, from_db(gb_db))
-    ch = _channel(cfg, noise)
+    ch = replace(cfg.channel, noise_power=noise)
     h_on = composite_gain(ch, +1)
     h_off = composite_gain(ch, -1)
     on, off = abs(h_on) ** 2, abs(h_off) ** 2
@@ -431,9 +411,6 @@ def replicate_measurement(cfg: SweepConfig, threads: int = 1):
             n_errors=0, n_bits=0, receiver="theory",
             source="theory_gaussian"))
         if nb > 0:
-            lo, hi = wilson_interval(k, nb)
-            points.append(BerPoint(
-                gamma_db=float("nan"), gamma_b_db=float(key), ber=k / nb,
-                n_errors=k, n_bits=nb, receiver="Correlation",
-                source="simulation", ci_low=lo, ci_high=hi))
+            points.append(_sim_point(float("nan"), float(key),
+                                     "Correlation", k, nb))
     return points, log

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from ambcsim.cli import (
+    _sweep_config_from_args,
+    build_parser,
     load_config,
     main,
     parse_complex,
@@ -17,6 +19,7 @@ from ambcsim.cli import (
     parse_pair,
     write_csv,
 )
+from ambcsim.montecarlo import flat_channel
 from oracles import EXACT_BER_SWEEP
 
 
@@ -120,6 +123,19 @@ class TestConfigFile:
         pytest.param(None, ["simulate", "--n", "3"], id="simulate-odd-n"),
         pytest.param(None, ["replicate", "--symbols", "50"],
                      id="replicate-symbols"),
+        pytest.param(None, ["coverage", "--gamma-db", "nan"],
+                     id="coverage-nan-gamma"),
+        pytest.param(None, ["coverage", "--bs", "nan,0"],
+                     id="coverage-nan-bs"),
+        pytest.param(None, ["compare", "--gamma", "nan"],
+                     id="compare-nan-gamma"),
+        pytest.param(None, ["simulate", "--direct-db", "inf"],
+                     id="simulate-inf-direct-db"),
+        pytest.param(None, ["theory", "--iota=nan"], id="theory-nan-iota"),
+        pytest.param("per_re=maybe\n", ["simulate", "--config", "CFG"],
+                     id="config-bad-boolean"),
+        pytest.param("help=1\n", ["theory", "--config", "CFG"],
+                     id="config-help-key"),
     ])
     def test_unknown_key_is_usage_error(self, tmp_path, text, argv):
         cfgf = tmp_path / "run.cfg"
@@ -131,6 +147,15 @@ class TestConfigFile:
             main(argv + ["--out-dir", str(out)])
         assert e.value.code == 2
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestSweepConfigFromArgs:
+    def test_cli_defaults_are_library_defaults(self):
+        parser, _ = build_parser()
+        args = parser.parse_args(["simulate"])
+        cfg = _sweep_config_from_args(args, args.symbols,
+                                      tuple(args.detectors), args.scheme)
+        assert cfg.channel == flat_channel()
 
 
 class TestCsvWriter:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from ambcsim.ber_theory import DetectionParams, exact_ber, fsk_coherent_ber
-from ambcsim.channel import composite_gain, from_db, lte_snr, snr_per_bit
+from ambcsim.channel import (SPEED_OF_LIGHT, composite_gain, from_db,
+                             lte_snr, snr_per_bit)
 from ambcsim.modem import FRAME_BITS, PAYLOAD_BITS
 from ambcsim.montecarlo import (
     SweepConfig,
     channel_for_snr,
     compare_receivers,
+    flat_channel,
     measurement_config,
     replicate_measurement,
     run_ber_sweep,
@@ -149,7 +151,7 @@ class TestSweep:
         assert abs(a.ber - b.ber) < 3.29 * se
 
     def test_vanishing_scatter_flips_coins(self):
-        cfg = small_cfg(scatter_gain_db=-400.0)
+        cfg = small_cfg(channel=flat_channel(scatter_gain_db=-400.0))
         pts = run_ber_sweep(cfg)
         sim = [p for p in pts if p.source == "simulation"][0]
         assert abs(sim.ber - 0.5) < 0.04
@@ -208,13 +210,14 @@ class TestMeasurementConfig:
         assert cfg.scheme == "FSK"
         assert cfg.detectors == ("Correlation",)
         assert cfg.n_chips == 20
-        assert cfg.carrier_freq_hz == 2560e6
-        assert cfg.bd_modulation_depth == pytest.approx(10 ** (-0.5 / 20))
-        assert cfg.bd_off_depth == pytest.approx(10 ** (-23.0 / 20))
-        g = cfg.geometry
-        assert g.d_d == pytest.approx(0.83, abs=1e-12)
-        assert g.d_s == pytest.approx(0.45, abs=1e-12)
-        assert g.d_b == pytest.approx(0.65, abs=1e-12)
+        ch = cfg.channel
+        assert ch.bd_modulation_depth == pytest.approx(10 ** (-0.5 / 20))
+        assert ch.bd_off_depth == pytest.approx(10 ** (-23.0 / 20))
+        # free-space legs at 2.56 GHz over the reported distances
+        lam = SPEED_OF_LIGHT / 2560e6
+        for h, d in ((ch.h_d, 0.83), (ch.h_s, 0.45), (ch.h_b, 0.65)):
+            assert abs(h) == pytest.approx(lam / (4.0 * math.pi * d),
+                                           rel=1e-12)
 
     def test_geometry_is_destructive(self):
         cfg = measurement_config((6.0,))
