@@ -10,9 +10,8 @@ from .ber_theory import (DetectionParams, SeriesError, ber_vs_iota,
 from .channel import (SPEED_OF_LIGHT, ChannelSet, LinkGeometry,
                       composite_gain, from_db, fspl_gain, lte_snr,
                       scatter_ratio, snr_per_bit, to_db)
-from .coverage import (BerGrid, ContourLine, CoverageScenario, GridSpec,
-                       centered_grid, compute_ber_grid, contour_export,
-                       range_estimate)
+from .coverage import (BerGrid, ContourLine, CoverageScenario,
+                       compute_ber_grid, contour_export, range_estimate)
 from .lte_grid import energy_stream
 from .modem import (BARKER7, DETECTOR_KINDS, FRAME_BITS, PAYLOAD_BITS,
                     SCHEMES, SYNC_BITS, SymbolAlphabet, demodulate_stream,
@@ -29,11 +28,11 @@ __all__ = [
     "__version__",
     "BARKER7", "BerGrid", "BerPoint", "ChannelSet", "ContourLine",
     "CoverageScenario", "DETECTOR_KINDS", "DetectionParams",
-    "DisagreementCount", "FRAME_BITS", "GridSpec", "LinkGeometry",
+    "DisagreementCount", "FRAME_BITS", "LinkGeometry",
     "PAYLOAD_BITS", "PacketRecord", "SCHEMES", "SPEED_OF_LIGHT",
     "SYNC_BITS", "SeriesError", "SweepConfig",
     "SymbolAlphabet",
-    "ber_vs_iota", "centered_grid", "channel_for_snr", "compare_receivers",
+    "ber_vs_iota", "channel_for_snr", "compare_receivers",
     "composite_gain", "compute_ber_grid", "contour_export",
     "demodulate_stream", "detect", "doubly_noncentral_f_cdf", "encode_bits",
     "encode_frame", "energy_stream", "exact_ber", "flat_channel",

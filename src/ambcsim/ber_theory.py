@@ -61,6 +61,9 @@ class DetectionParams:
             raise ValueError("m_sc and n_chips must be positive")
         if (self.m_sc * self.n_chips) % 2:
             raise ValueError("m_sc * n_chips must be even")
+        if not all(map(math.isfinite, (self.h_on_sq, self.h_off_sq,
+                                       self.noise_power))):
+            raise ValueError("squared gains and noise_power must be finite")
         if self.h_on_sq < 0.0 or self.h_off_sq < 0.0:
             raise ValueError("squared gains must be non-negative")
         if self.noise_power <= 0.0:

@@ -12,6 +12,7 @@ through |1 + iota|^2 only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,9 @@ class ChannelSet:
     bd_off_depth: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.h_d, self.h_s, self.h_b,
+                                   self.noise_power))):
+            raise ValueError("path gains and noise_power must be finite")
         if self.noise_power <= 0.0:
             raise ValueError("noise_power must be positive")
         if not 0.0 < self.bd_modulation_depth <= 1.0:
@@ -146,4 +150,12 @@ def to_db(x: float) -> float:
 
 
 def from_db(x_db: float) -> float:
-    return float(10.0 ** (x_db / 10.0))
+    """Linear value of x_db decibels; ValueError unless it is a finite
+    positive double."""
+    try:
+        x = float(10.0 ** (x_db / 10.0))
+    except OverflowError:
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{x_db} dB is outside the range of a double")
+    return x

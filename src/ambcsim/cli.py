@@ -28,9 +28,9 @@ import numpy as np
 from . import __version__
 from .ber_theory import (SeriesError, _params_for_u, exact_ber,
                          fsk_coherent_ber, gaussian_ber)
-from .channel import _gamma_b
-from .coverage import (DEFAULT_LEVELS, CoverageScenario, centered_grid,
-                       compute_ber_grid, contour_export, range_estimate)
+from .channel import _gamma_b, from_db
+from .coverage import (DEFAULT_LEVELS, CoverageScenario, compute_ber_grid,
+                       contour_export, range_estimate)
 from .modem import DETECTOR_KINDS
 from .montecarlo import (BerPoint, DisagreementCount, PacketRecord,
                          SweepConfig, compare_receivers, flat_channel,
@@ -169,11 +169,15 @@ def _apply_config(sub: argparse.ArgumentParser, cfg: dict):
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=0,
+                     help="random seed of simulate, compare and replicate; "
+                          "theory and coverage ignore it")
     sub.add_argument("--config", type=str, default=None)
     sub.add_argument("--out-dir", type=str,
                      default=os.environ.get("AMBCSIM_OUT_DIR", "."))
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="worker processes of simulate, compare and "
+                          "replicate; theory and coverage ignore it")
 
 
 def _add_link_flags(sub):
@@ -300,9 +304,8 @@ def cmd_theory(args, out_dir):
     cfg = _sweep_config_from_args(args, 10000, ("Correlation",), "BPSK")
     for gdb in args.gamma:
         if args.iota is not None:
-            gamma = 10.0 ** (gdb / 10.0)
-            p = _params_for_u(abs(1.0 + args.iota) ** 2, gamma, args.msc,
-                              args.n)
+            p = _params_for_u(abs(1.0 + args.iota) ** 2, from_db(gdb),
+                              args.msc, args.n)
             gamma_b = _gamma_b(p.n_chips, p.m_sc, p.h_on_sq, p.h_off_sq,
                                p.noise_power)
             pe = exact_ber(p)
@@ -343,9 +346,8 @@ def cmd_coverage(args, out_dir):
     sc = CoverageScenario(
         bs_pos=tuple(args.bs), ue_pos=tuple(args.ue),
         carrier_freq_hz=args.freq_mhz * 1e6,
-        gamma=10.0 ** (args.gamma_db / 10.0),
-        m_sc=args.msc, n_chips=args.n,
-        grid=centered_grid(tuple(args.ue), args.half_span, args.resolution),
+        gamma=from_db(args.gamma_db), m_sc=args.msc, n_chips=args.n,
+        half_span=args.half_span, resolution=args.resolution,
         engine=args.engine)
     # levels and targets are all checked before any file is written
     grid = compute_ber_grid(sc)
@@ -354,8 +356,7 @@ def cmd_coverage(args, out_dir):
     rrows = []
     for target in args.range_targets:
         radius = range_estimate(sc, float(target))
-        rrows.append((target, radius, lam,
-                      radius / lam if lam > 0 else float("nan")))
+        rrows.append((target, radius, lam, radius / lam))
     x, y = grid.x_axis, grid.y_axis
     p1 = os.path.join(out_dir, "coverage_grid.csv")
     write_csv(p1, ("x", "y", "ber"),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,43 +22,11 @@ DEFAULT_LEVELS = (0.4, 0.3, 0.2, 0.1, 0.05, 0.01)
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Rectangular BD-position grid, resolution points per axis."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    resolution: int = 200
-
-    def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("grid bounds must be non-degenerate")
-        if self.resolution < 2:
-            raise ValueError("resolution must be at least 2")
-
-    @property
-    def x_axis(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.resolution)
-
-    @property
-    def y_axis(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.resolution)
-
-
-def centered_grid(center, half_span: float = 2.0,
-                  resolution: int = 200) -> GridSpec:
-    """Square grid of the given half width around a point. The default
-    4 m x 4 m window resolves the half wavelength interference fringes
-    at UHF carriers."""
-    cx, cy = float(center[0]), float(center[1])
-    return GridSpec(cx - half_span, cx + half_span,
-                    cy - half_span, cy + half_span, resolution)
-
-
-@dataclass(frozen=True)
 class CoverageScenario:
-    """Fixed UE/BS geometry plus link and grid settings for a map."""
+    """Fixed UE/BS geometry plus link settings for a map of the square
+    of half width half_span around the UE, resolution points per axis.
+    The default 4 m x 4 m window resolves the half wavelength
+    interference fringes at UHF carriers."""
 
     bs_pos: tuple
     ue_pos: tuple
@@ -66,20 +34,46 @@ class CoverageScenario:
     gamma: float
     m_sc: int = 288
     n_chips: int = 4
-    grid: GridSpec = field(default_factory=lambda: centered_grid((0.0, 0.0)))
+    half_span: float = 2.0
+    resolution: int = 200
     engine: str = "gaussian"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.carrier_freq_hz, self.gamma,
+                                       self.half_span, *self.bs_pos,
+                                       *self.ue_pos))):
+            raise ValueError("carrier, gamma, half_span and positions "
+                             "must be finite")
         if self.carrier_freq_hz <= 0.0:
             raise ValueError("carrier_freq_hz must be positive")
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive (linear SNR)")
         if self.m_sc < 1 or self.n_chips < 1:
             raise ValueError("m_sc and n_chips must be positive")
+        if self.half_span <= 0.0:
+            raise ValueError("half_span must be positive")
+        if self.resolution < 2:
+            raise ValueError("resolution must be at least 2")
+        if not (np.all(np.diff(self.x_axis) > 0.0)
+                and np.all(np.diff(self.y_axis) > 0.0)):
+            raise ValueError("grid axes must be strictly increasing")
         if self.engine not in ("exact", "gaussian"):
             raise ValueError(f"unknown engine: {self.engine}")
         if tuple(self.bs_pos) == tuple(self.ue_pos):
             raise ValueError("bs_pos and ue_pos must differ")
+
+    def _axis(self, k):
+        c = float(self.ue_pos[k])
+        return np.linspace(c - self.half_span, c + self.half_span,
+                           self.resolution)
+
+    @property
+    def x_axis(self) -> np.ndarray:
+        return self._axis(0)
+
+    @property
+    def y_axis(self) -> np.ndarray:
+        return self._axis(1)
 
     @property
     def wavelength(self) -> float:
@@ -104,8 +98,8 @@ class BerGrid:
 
 def _scatter_fields(sc: CoverageScenario):
     """|iota| and |1+iota|^2 on the grid, plus the singularity mask."""
-    x = sc.grid.x_axis
-    y = sc.grid.y_axis
+    x = sc.x_axis
+    y = sc.y_axis
     xx, yy = np.meshgrid(x, y)
     lam = sc.wavelength
     ue = np.asarray(sc.ue_pos, dtype=float)
@@ -161,7 +155,7 @@ def compute_ber_grid(sc: CoverageScenario) -> BerGrid:
                        in zip(np.argwhere(ok).tolist(), inv.tolist())
                        if k in msgs)
     ber = np.where(bad, np.nan, ber)
-    return BerGrid(ber=ber, x_axis=sc.grid.x_axis, y_axis=sc.grid.y_axis,
+    return BerGrid(ber=ber, x_axis=sc.x_axis, y_axis=sc.y_axis,
                    errors=errors)
 
 
@@ -183,58 +177,45 @@ def range_estimate(sc: CoverageScenario, ber_target: float) -> float:
     u_star = iota_magnitude_for_target(ber_target, sc.gamma, sc.m_sc,
                                        sc.n_chips)
     if sc.engine == "exact":
-        u_star = _exact_u_for_target(sc, ber_target, u_star)
+        # exact BER falls with u > 1; seeded from the gaussian inverse
+        u_star = _decreasing_root(
+            lambda u: exact_ber(_params_for_u(u, sc.gamma, sc.m_sc,
+                                              sc.n_chips)) - ber_target,
+            1.0 + 1e-12, max(u_star, 1.0 + 1e-9), 1e-9)
     c = math.sqrt(u_star) - 1.0
     lam = sc.wavelength
     d_d = sc.d_d
+    return _decreasing_root(
+        lambda d_s: _scatter(d_d, d_s, d_d + d_s, lam)[0] - c,
+        lam * 1e-9, lam, 1e-12)
 
-    def excess(d_s):
-        return _scatter(d_d, d_s, d_d + d_s, lam)[0] - c
 
-    lo = lam * 1e-9
-    if excess(lo) <= 0.0:
-        warnings.warn("BER target unreachable at any range for this "
-                      "geometry and SNR")
+_MAX_STEPS = 200
+
+
+def _decreasing_root(f, lo, hi, rel_tol):
+    """Root of a decreasing f above lo by bracket and bisection: hi
+    doubles until f(hi) < 0, then [lo, hi] halves, keeping f(lo) > 0,
+    until hi - lo <= rel_tol * hi, each stage at most _MAX_STEPS times.
+    NaN with a warning when f(lo) is not positive or no hi brackets the
+    root."""
+    if not f(lo) > 0.0:
+        warnings.warn("BER target unreachable for this geometry and SNR")
         return float("nan")
-    hi = lam
-    for _ in range(200):
-        if excess(hi) < 0.0:
+    for _ in range(_MAX_STEPS):
+        if f(hi) < 0.0:
             break
         hi *= 2.0
     else:
-        warnings.warn("no finite range bracket found")
+        warnings.warn("no finite bracket found for the BER target")
         return float("nan")
-    for _ in range(200):
+    for _ in range(_MAX_STEPS):
         mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
+        if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _exact_u_for_target(sc, ber_target, u_guess):
-    """|1+iota|^2 achieving ber_target under the exact engine, found by
-    bisection seeded from the gaussian inverse (exact BER is monotone
-    decreasing in u for u > 1)."""
-
-    def ber_at(u):
-        return exact_ber(_params_for_u(u, sc.gamma, sc.m_sc, sc.n_chips))
-
-    lo, hi = 1.0 + 1e-12, max(u_guess, 1.0 + 1e-9)
-    for _ in range(100):
-        if ber_at(hi) < ber_target:
-            break
-        hi *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ber_at(mid) > ber_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * hi:
+        if hi - lo <= rel_tol * hi:
             break
     return 0.5 * (lo + hi)
 

@@ -178,7 +178,8 @@ def _simulate_shard(cfg: SweepConfig, gamma_db: float, point_index: int,
                     shard_index: int, n_symbols: int, y_model: str = "chi2"):
     """Detect n_symbols random symbols on one seeded stream. All
     detectors in cfg see the same realizations. Returns per-detector
-    error counts plus pairwise disagreement counts."""
+    error counts plus pairwise disagreement counts. y_model is "chi2"
+    or "gaussian" (compare_receivers checks it)."""
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg.seed, point_index, shard_index)))
     ch = channel_for_snr(cfg, gamma_db)
@@ -191,20 +192,18 @@ def _simulate_shard(cfg: SweepConfig, gamma_db: float, point_index: int,
     if y_model == "chi2":
         ys = energy_stream(h, cfg.m_sc, ch.noise_power, rng,
                            per_re=cfg.per_re)
-    elif y_model == "gaussian":
+    else:
         s2 = ch.noise_power
         g2 = np.abs(h) ** 2
         mu = cfg.m_sc * (s2 + g2)
         var = cfg.m_sc * (s2 * s2 + 2.0 * s2 * g2)
         ys = np.maximum(rng.normal(mu, np.sqrt(var)), 0.0)
-    else:
-        raise ValueError(f"unknown y_model: {y_model}")
     decoded_all = [demodulate_stream(det, ys, alphabet, ch, cfg.m_sc)
                    for det in cfg.detectors]
     errors = [int(np.sum(d != bits)) for d in decoded_all]
     disagree = [int(np.sum(a != b))
                 for a, b in itertools.combinations(decoded_all, 2)]
-    return errors, disagree, n_symbols
+    return errors, disagree
 
 
 def _pool_map(fn, tasks, threads: int):
@@ -220,7 +219,7 @@ def _pool_map(fn, tasks, threads: int):
 
 def _run_shards(cfg: SweepConfig, threads: int, y_model: str):
     """All (point, shard) tasks, merged by index into per-point error
-    and disagreement totals."""
+    and disagreement totals over cfg.n_symbols_per_point symbols."""
     tasks = [(cfg, float(gdb), pi, si, n, y_model)
              for pi, gdb in enumerate(cfg.snr_grid_db)
              for si, n in enumerate(_shard_sizes(cfg.n_symbols_per_point))]
@@ -230,24 +229,23 @@ def _run_shards(cfg: SweepConfig, threads: int, y_model: str):
     n_points = len(cfg.snr_grid_db)
     errors = np.zeros((n_points, n_det), dtype=int)
     disagree = np.zeros((n_points, n_pairs), dtype=int)
-    counts = np.zeros(n_points, dtype=int)
-    for (cfg_, gdb, pi, si, n, ym), (errs, dis, nn) in zip(tasks, results):
+    for (cfg_, gdb, pi, si, n, ym), (errs, dis) in zip(tasks, results):
         errors[pi] += np.asarray(errs, dtype=int)
         disagree[pi] += np.asarray(dis, dtype=int)
-        counts[pi] += nn
-    return errors, disagree, counts
+    return errors, disagree
 
 
 def run_ber_sweep(cfg: SweepConfig, threads: int = 1):
     """One simulation BerPoint per (SNR point, detector), plus matching
     exact and asymptotic theory rows. Deterministic for a fixed seed
     and config regardless of threads."""
-    errors, _, counts = _run_shards(cfg, threads, "chi2")
+    errors, _ = _run_shards(cfg, threads, "chi2")
     points = []
     for pi, gdb in enumerate(cfg.snr_grid_db):
         gdb = float(gdb)
         points.extend(theory_points(cfg, gdb))
-        points.extend(_sim_points(cfg, gdb, errors[pi], int(counts[pi])))
+        points.extend(_sim_points(cfg, gdb, errors[pi],
+                                  cfg.n_symbols_per_point))
     return points
 
 
@@ -280,12 +278,12 @@ def compare_receivers(cfg: SweepConfig, y_model: str = "chi2",
         raise ValueError("receiver comparison needs at least 2 detectors")
     if y_model not in ("chi2", "gaussian"):
         raise ValueError(f"unknown y_model: {y_model}")
-    errors, disagree, counts = _run_shards(cfg, threads, y_model)
+    errors, disagree = _run_shards(cfg, threads, y_model)
+    n = cfg.n_symbols_per_point
     points = []
     rows = []
     for pi, gdb in enumerate(cfg.snr_grid_db):
         gdb = float(gdb)
-        n = int(counts[pi])
         points.extend(_sim_points(cfg, gdb, errors[pi], n))
         pairs = itertools.combinations(cfg.detectors, 2)
         rows.extend(DisagreementCount(

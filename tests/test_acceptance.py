@@ -21,9 +21,8 @@ from ambcsim.ber_theory import (DetectionParams, ber_vs_iota,
                                 gaussian_ber)
 from ambcsim.channel import ChannelSet, LinkGeometry, from_db, scatter_ratio
 from ambcsim.cli import main as cli_main
-from ambcsim.coverage import (CoverageScenario, centered_grid,
-                              compute_ber_grid, contour_export,
-                              range_estimate)
+from ambcsim.coverage import (CoverageScenario, compute_ber_grid,
+                              contour_export, range_estimate)
 from ambcsim.lte_grid import energy_stream
 from ambcsim.modem import demodulate_stream, encode_bits, make_alphabet
 from ambcsim.montecarlo import (SweepConfig, channel_for_snr,

@@ -56,6 +56,15 @@ class TestValidation:
             DetectionParams(m_sc=4, n_chips=4, h_on_sq=1, h_off_sq=1,
                             noise_power=0.0)
 
+    @pytest.mark.parametrize("kw", [
+        dict(h_on_sq=math.nan), dict(h_off_sq=math.inf),
+        dict(noise_power=math.nan), dict(noise_power=math.inf)])
+    def test_detection_params_reject_non_finite(self, kw):
+        base = dict(m_sc=288, n_chips=4, h_on_sq=1.0, h_off_sq=1.0,
+                    noise_power=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            DetectionParams(**{**base, **kw})
+
     def test_f_cdf_domain(self):
         with pytest.raises(ValueError):
             doubly_noncentral_f_cdf(0.0, 4, 4, 1.0, 1.0)

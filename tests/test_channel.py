@@ -75,6 +75,14 @@ class TestChannelSet:
             ChannelSet(h_d=1.0, h_s=0.1, h_b=1.0, noise_power=1.0,
                        bd_modulation_depth=0.5, bd_off_depth=0.5)
 
+    @pytest.mark.parametrize("kw", [
+        dict(h_d=np.nan), dict(h_s=complex(0.1, np.inf)), dict(h_b=np.inf),
+        dict(noise_power=np.nan), dict(noise_power=np.inf)])
+    def test_non_finite_values_rejected(self, kw):
+        base = dict(h_d=1.0, h_s=0.1, h_b=1.0, noise_power=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ChannelSet(**{**base, **kw})
+
     def test_off_state_is_direct_path_by_default(self):
         ch = ChannelSet(h_d=0.7 - 0.1j, h_s=0.01, h_b=0.5j, noise_power=1.0)
         assert composite_gain(ch, -1) == ch.h_d
@@ -205,6 +213,11 @@ class TestDbHelpers:
     def test_round_trip(self):
         for v in (1e-9, 1.0, 42.0):
             assert from_db(to_db(v)) == pytest.approx(v, rel=1e-12)
+
+    @pytest.mark.parametrize("x_db", [3100.0, -3300.0, np.nan, np.inf])
+    def test_from_db_outside_a_double_raises(self, x_db):
+        with pytest.raises(ValueError, match="outside the range"):
+            from_db(x_db)
 
     def test_zero_maps_to_minus_inf(self):
         assert to_db(0.0) == -np.inf

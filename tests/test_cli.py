@@ -136,6 +136,22 @@ class TestConfigFile:
                      id="config-bad-boolean"),
         pytest.param("help=1\n", ["theory", "--config", "CFG"],
                      id="config-help-key"),
+        pytest.param(None, ["theory", "--gamma", "3100"],
+                     id="theory-gamma-overflow"),
+        pytest.param(None, ["theory", "--gamma=-3300"],
+                     id="theory-gamma-underflow"),
+        pytest.param(None, ["theory", "--gamma", "3100", "--iota=0.3"],
+                     id="theory-iota-gamma-overflow"),
+        pytest.param(None, ["simulate", "--gamma", "3100"],
+                     id="simulate-gamma-overflow"),
+        pytest.param(None, ["simulate", "--gamma=-3300"],
+                     id="simulate-gamma-underflow"),
+        pytest.param(None, ["replicate", "--gamma-b=-3300", "--symbols",
+                            "303"], id="replicate-gamma-b-underflow"),
+        pytest.param(None, ["coverage", "--gamma-db", "3100"],
+                     id="coverage-gamma-overflow"),
+        pytest.param(None, ["coverage", "--freq-mhz", "1e303"],
+                     id="coverage-freq-overflow"),
     ])
     def test_unknown_key_is_usage_error(self, tmp_path, text, argv):
         cfgf = tmp_path / "run.cfg"

@@ -13,9 +13,7 @@ from ambcsim.coverage import (
     DEFAULT_LEVELS,
     BerGrid,
     CoverageScenario,
-    GridSpec,
     _scatter_fields,
-    centered_grid,
     compute_ber_grid,
     contour_export,
     range_estimate,
@@ -48,17 +46,27 @@ def point_ber(sc: CoverageScenario, bd_pos, engine="gaussian"):
 class TestSpecs:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            GridSpec(0.0, 0.0, -1.0, 1.0)
+            default_scenario(half_span=0.0)
         with pytest.raises(ValueError):
-            GridSpec(-1.0, 1.0, 1.0, -1.0)
+            default_scenario(half_span=-1.0)
         with pytest.raises(ValueError):
-            GridSpec(-1.0, 1.0, -1.0, 1.0, resolution=1)
+            default_scenario(resolution=1)
+        with pytest.raises(ValueError):  # ue +- half_span rounds together
+            default_scenario(ue_pos=(1e20, 0.0))
 
     def test_axes(self):
-        g = centered_grid((1.0, -2.0), half_span=3.0, resolution=7)
+        g = default_scenario(ue_pos=(1.0, -2.0), half_span=3.0, resolution=7)
         assert g.x_axis[0] == -2.0 and g.x_axis[-1] == 4.0
         assert g.y_axis[0] == -5.0 and g.y_axis[-1] == 1.0
         assert g.x_axis.size == 7
+
+    def test_map_is_centred_on_an_off_origin_ue(self):
+        sc = default_scenario(bs_pos=(60.0, 0.0), ue_pos=(10.0, 0.0),
+                              resolution=41)
+        out = compute_ber_grid(sc)
+        assert out.x_axis[0] == 8.0 and out.x_axis[-1] == 12.0
+        assert out.y_axis[0] == -2.0 and out.y_axis[-1] == 2.0
+        assert np.isnan(out.ber[20, 20])  # the UE's own cell
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
@@ -70,6 +78,14 @@ class TestSpecs:
         with pytest.raises(ValueError):
             default_scenario(bs_pos=(0.0, 0.0))
 
+    @pytest.mark.parametrize("kw", [
+        dict(carrier_freq_hz=math.inf), dict(gamma=math.nan),
+        dict(half_span=math.inf), dict(ue_pos=(math.nan, 0.0)),
+        dict(bs_pos=(math.inf, 0.0))])
+    def test_non_finite_values_rejected(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            default_scenario(**kw)
+
     def test_wavelength(self):
         sc = default_scenario()
         assert sc.wavelength == pytest.approx(0.383366314578005, rel=1e-12)
@@ -79,12 +95,12 @@ class TestSpecs:
 class TestBerGrid:
     def test_reflection_symmetry(self):
         # geometry is mirror symmetric about the UE-BS axis
-        sc = default_scenario(grid=centered_grid((0.0, 0.0), 1.5, 41))
+        sc = default_scenario(half_span=1.5, resolution=41)
         ber = compute_ber_grid(sc).ber
         assert np.allclose(ber, ber[::-1, :], equal_nan=True)
 
     def test_matches_pointwise_evaluation(self):
-        sc = default_scenario(grid=centered_grid((0.0, 0.0), 1.5, 21))
+        sc = default_scenario(half_span=1.5, resolution=21)
         out = compute_ber_grid(sc)
         rng = np.random.default_rng(2)
         for _ in range(30):
@@ -97,7 +113,7 @@ class TestBerGrid:
 
     def test_singularity_cells_are_nan(self):
         sc = default_scenario(bs_pos=(1.0, 0.0),
-                              grid=centered_grid((0.0, 0.0), 2.0, 41))
+                              half_span=2.0, resolution=41)
         out = compute_ber_grid(sc)
         # UE at grid node (20, 20); BS falls on a node too (x=1.0)
         assert np.isnan(out.ber[20, 20])
@@ -112,16 +128,16 @@ class TestBerGrid:
 
     def test_scale_invariance(self):
         # doubling every length and halving the carrier leaves BER alone
-        a = default_scenario(grid=centered_grid((0.0, 0.0), 1.0, 31))
+        a = default_scenario(half_span=1.0, resolution=31)
         b = default_scenario(bs_pos=(100.0, 0.0), carrier_freq_hz=391e6,
-                             grid=centered_grid((0.0, 0.0), 2.0, 31))
+                             half_span=2.0, resolution=31)
         ba = compute_ber_grid(a).ber
         bb = compute_ber_grid(b).ber
         assert np.allclose(ba, bb, rtol=1e-9, equal_nan=True)
 
     def test_engines_agree_where_ber_is_material(self):
-        sc_g = default_scenario(grid=centered_grid((0.0, 0.0), 0.8, 15))
-        sc_e = default_scenario(grid=centered_grid((0.0, 0.0), 0.8, 15),
+        sc_g = default_scenario(half_span=0.8, resolution=15)
+        sc_e = default_scenario(half_span=0.8, resolution=15,
                                 engine="exact")
         bg = compute_ber_grid(sc_g).ber
         be = compute_ber_grid(sc_e).ber
@@ -132,7 +148,7 @@ class TestBerGrid:
 
     def test_exact_engine_records_series_failures(self):
         sc = default_scenario(gamma=1e9, engine="exact",
-                              grid=centered_grid((0.0, 0.0), 0.5, 3))
+                              half_span=0.5, resolution=3)
         out = compute_ber_grid(sc)
         assert len(out.errors) > 0
         i, j, msg = out.errors[0]
@@ -168,7 +184,7 @@ class TestExactGridDedup:
 
     def test_default_16x16_matches_per_cell_loop(self):
         sc = default_scenario(engine="exact",
-                              grid=centered_grid((0.0, 0.0), 2.0, 16))
+                              half_span=2.0, resolution=16)
         u, bad = _scatter_fields(sc)
         # the mirror symmetry about the UE-BS axis repeats u
         assert np.unique(u[~bad]).size < np.count_nonzero(~bad)
@@ -179,7 +195,7 @@ class TestExactGridDedup:
 
     def test_repeated_failing_u_lists_every_cell(self):
         sc = default_scenario(gamma=1e9, engine="exact",
-                              grid=centered_grid((0.0, 0.0), 0.5, 5))
+                              half_span=0.5, resolution=5)
         u, bad = _scatter_fields(sc)
         out = compute_ber_grid(sc)
         ref, ref_errors = per_cell_exact(sc)
@@ -289,7 +305,7 @@ class TestContours:
     def test_real_field_loop_count_is_stable(self):
         # fringe horseshoes appear at a fixed level but only one loop
         # encloses the UE
-        sc = default_scenario(grid=centered_grid((0.0, 0.0), 2.0, 200))
+        sc = default_scenario(half_span=2.0, resolution=200)
         out = compute_ber_grid(sc)
         lines = contour_export(out, levels=(0.1,))
         enclosing = [ln for ln in lines

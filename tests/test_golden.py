@@ -7,7 +7,8 @@ single digit fails here. The invocations cover check 8's five runs plus
 the paths no benchmark workload reaches: `theory --iota` on both sides
 of |1 + iota| = 1, a destructive simulate geometry (on-state gain below
 the off-state gain), the FSK and DBPSK simulate paths, a gaussian-y
-BesselMap comparison and a small exact coverage map.
+BesselMap comparison, a small exact coverage map, and a gaussian and
+an exact map around a UE off the origin.
 
 The hashes depend on numpy's random streams and scipy's special
 functions, so they are only checked under the numpy and scipy versions
@@ -57,6 +58,12 @@ INVOCATIONS = {
                                 "Correlation,SquareRoot,BesselMap"],
     "coverage-exact": ["coverage", "--engine", "exact", "--resolution", "6",
                        "--half-span", "0.4"],
+    "coverage-off-origin": ["coverage", "--ue", "1.0,0.5", "--bs", "51,0.5",
+                            "--resolution", "10", "--half-span", "0.4",
+                            "--range-targets", "0.1,0.01"],
+    "coverage-exact-off-origin": ["coverage", "--engine", "exact",
+                                  "--ue=-0.3,0.2", "--resolution", "5",
+                                  "--half-span", "0.3"],
 }
 
 GOLDEN = {
@@ -121,6 +128,22 @@ GOLDEN = {
             "25dc2ded019cb173daae9de7d2aca3750a73a5c8c5dcdc471c4bc0bc917ee753",
         "range.csv":
             "cd2b7190fe673f54ecefab892013390c863a3fd9129f0ebc8919efe1d955e2c3",
+    },
+    "coverage-off-origin": {
+        "contours.csv":
+            "3d84648dabea6ae02a53c6c02dc28d41781688f3485b99830f8a44fd020132c5",
+        "coverage_grid.csv":
+            "179c211453e8820505884959622ef6670b7129be6a106903cddf53828121412d",
+        "range.csv":
+            "9d02e288268fc533a033bc9752a7e2e5dca230414d4b3844a40f57153fdf686a",
+    },
+    "coverage-exact-off-origin": {
+        "contours.csv":
+            "72e55b190f5df571aae6052e1c90b154c605b1b30209917175345834962f2f7d",
+        "coverage_grid.csv":
+            "d6ee63e59de738c016c80b91923fb5630954f07003034892739e0c4de05651aa",
+        "range.csv":
+            "6d91d2ecf18bf0eceb54e3cbe05be59af84e04525c0b7a226a1c106e90d1589e",
     },
 }
 
