@@ -96,8 +96,6 @@ def composite_gain(ch: ChannelSet, b: int) -> complex:
     if b == 1:
         return ch.h_d + ch.bd_modulation_depth * ch.h_s * ch.h_b
     if b == -1:
-        if ch.bd_off_depth == 0.0:
-            return ch.h_d
         return ch.h_d + ch.bd_off_depth * ch.h_s * ch.h_b
     raise ValueError("BD state must be +1 or -1")
 

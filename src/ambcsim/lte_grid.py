@@ -47,11 +47,4 @@ def energy_stream(h, m_sc: int, noise_power: float, rng, per_re: bool = False):
             out[start:start + step] = np.sum(rx.real ** 2 + rx.imag ** 2, axis=1)
         return out
     nonc = 2.0 * m_sc * np.abs(h) ** 2 / noise_power
-    z = np.empty(h.size)
-    pos = nonc > 0.0
-    if np.any(pos):
-        z[pos] = rng.noncentral_chisquare(2 * m_sc, nonc[pos])
-    n_zero = int(np.sum(~pos))
-    if n_zero:
-        z[~pos] = rng.chisquare(2 * m_sc, size=n_zero)
-    return (noise_power / 2.0) * z
+    return (noise_power / 2.0) * rng.noncentral_chisquare(2 * m_sc, nonc)

@@ -10,7 +10,7 @@ Detector metrics (g_m[i] is the gain magnitude the channel takes when
 chip i of symbol m is applied, sigma^2 the per-subcarrier noise power,
 M the subcarrier count):
 
-    BesselMap    sum_i ln I_{M-1}(2 g_m[i] sqrt(M y[i]) / sigma^2)
+    BesselMap    sum_i J_{M-1}(2 g_m[i] sqrt(M y[i]) / sigma^2)
     SquareRoot   sum_i g_m[i] sqrt(y[i])
     Correlation  sum_i g_m[i] y[i]
     Power        sum_i [-(y[i]-mu_m[i])^2 / (2 V_m[i]) - ln(V_m[i]) / 2]
@@ -18,6 +18,16 @@ M the subcarrier count):
 
 BesselMap is the exact likelihood-ratio rule for the noncentral
 chi-square law of y and serves as the referee for the other three.
+With v = M - 1, z the argument above and the scaled log-Bessel
+function
+
+    J_v(z) = ln I_v(z) - v ln(z / 2),    J_v(0) = -ln Gamma(v + 1),
+
+chip i's log likelihood under symbol m is J_v(z) - M g_m[i]^2 / sigma^2
+plus a term in y[i] alone. The gain terms sum to the same value under
+both hypotheses, because both symbols have equal on and off chip
+counts, so they cancel from metric(H_0) - metric(H_1). J is finite at
+z = 0, so a zero gain or a zero energy sample needs no special case.
 """
 
 from __future__ import annotations
@@ -185,38 +195,22 @@ def _metric_diff(kind, ys, alphabet, ch, m_sc):
     if kind == "SquareRoot":
         return np.sqrt(ys) @ (g0 - g1)
     if kind == "Power":
-        v0 = m_sc * (s2 ** 2 + 2.0 * s2 * g0 ** 2)
-        v1 = m_sc * (s2 ** 2 + 2.0 * s2 * g1 ** 2)
-        mu0 = m_sc * (s2 + g0 ** 2)
-        mu1 = m_sc * (s2 + g1 ** 2)
-        t0 = -((ys - mu0) ** 2) / (2.0 * v0) - 0.5 * np.log(v0)
-        t1 = -((ys - mu1) ** 2) / (2.0 * v1) - 0.5 * np.log(v1)
-        return np.sum(t0 - t1, axis=1)
-    # BesselMap: exact per-chip log likelihood ln I_v(root g) - v ln g,
-    # v = M - 1; the v ln g terms and the constants cancel between
-    # hypotheses because both symbols have equal on/off counts. A zero
-    # argument (zero gain or zero sample) makes ln I_v -inf: such chips
-    # take the limit v ln(root g / 2) - ln v!, with the other state's
-    # gain in place of a zero gain (the v ln g the cancellation drops
-    # from the non-zero chips), and with root / 2 read as 1 on a zero
-    # sample, whose v ln(root / 2) is the same under both hypotheses.
-    nu = m_sc - 1
-    root = 2.0 * np.sqrt(m_sc * ys) / s2
-    z0 = root * g0
-    z1 = root * g1
-    t0 = log_bessel_i(nu, z0)
-    t1 = log_bessel_i(nu, z1)
-    g = g0.max()
-    if nu and g > 0.0 and not (z0.all() and z1.all()):
-        r = np.where(ys == 0.0, 2.0, root)
-        lead = -math.lgamma(nu + 1.0)
-        t0 = np.where(z0 == 0.0,
-                      nu * np.log(r * (np.where(g0 == 0.0, g, g0) / 2.0))
-                      + lead, t0)
-        t1 = np.where(z1 == 0.0,
-                      nu * np.log(r * (np.where(g1 == 0.0, g, g1) / 2.0))
-                      + lead, t1)
-    return np.sum(t0 - t1, axis=1)
+        def ell(g):
+            v = m_sc * (s2 ** 2 + 2.0 * s2 * g ** 2)
+            mu = m_sc * (s2 + g ** 2)
+            return -((ys - mu) ** 2) / (2.0 * v) - 0.5 * np.log(v)
+    else:
+        nu = m_sc - 1
+        root = 2.0 * np.sqrt(m_sc * ys) / s2
+
+        def ell(g):
+            # J_nu(z) of the module docstring, its limit at z = 0
+            z = root * g
+            log_i = log_bessel_i(nu, z)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(z > 0.0, log_i - nu * np.log(z / 2.0),
+                                -math.lgamma(nu + 1.0))
+    return np.sum(ell(g0) - ell(g1), axis=1)
 
 
 def detect(kind: str, y, alphabet: SymbolAlphabet, ch: ChannelSet,
@@ -226,10 +220,7 @@ def detect(kind: str, y, alphabet: SymbolAlphabet, ch: ChannelSet,
     y = np.asarray(y, dtype=float)
     if y.shape != (alphabet.n_chips,):
         raise ValueError("expected exactly n_chips energy samples")
-    if np.any(y < 0.0):
-        raise ValueError("energy samples must be non-negative")
-    d = _metric_diff(kind, y[None, :], alphabet, ch, m_sc)
-    return int(d[0] < 0.0)
+    return int(demodulate_stream(kind, y, alphabet, ch, m_sc)[0])
 
 
 def demodulate_stream(kind: str, stream, alphabet: SymbolAlphabet,

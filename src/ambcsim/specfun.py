@@ -48,10 +48,6 @@ def log_bessel_i(order, x):
     need = (~ok) & (xx > 0.0)
     if np.any(need):
         out[need] = _log_iv_series(v[need], xx[need])
-    zero = xx == 0.0
-    if np.any(zero):
-        # I_0(0) = 1, I_v(0) = 0 for v > 0
-        out[zero] = np.where(v[zero] == 0.0, 0.0, -np.inf)
     return float(out[0]) if scalar else out
 
 

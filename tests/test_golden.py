@@ -7,8 +7,11 @@ single digit fails here. The invocations cover check 8's five runs plus
 the paths no benchmark workload reaches: `theory --iota` on both sides
 of |1 + iota| = 1, a destructive simulate geometry (on-state gain below
 the off-state gain), the FSK and DBPSK simulate paths, a gaussian-y
-BesselMap comparison, a small exact coverage map, and a gaussian and
-an exact map around a UE off the origin.
+BesselMap comparison, two gaussian-y BesselMap comparisons at m_sc 2
+and 1 where the clipped samples are exactly zero (1278 and 3614 of
+their 40 000 BesselMap samples; at m_sc 1 the Bessel order is 0), a
+small exact coverage map, and a gaussian and an exact map around a UE
+off the origin.
 
 The hashes depend on numpy's random streams and scipy's special
 functions, so they are only checked under the numpy and scipy versions
@@ -56,6 +59,15 @@ INVOCATIONS = {
                                 "2500", "--y-model", "gaussian",
                                 "--scatter-phase", "3.0", "--detectors",
                                 "Correlation,SquareRoot,BesselMap"],
+    "compare-gaussian-bessel-msc2": ["compare", "--gamma", "0,5",
+                                     "--realizations", "5000", "--msc", "2",
+                                     "--y-model", "gaussian", "--detectors",
+                                     "Correlation,Power,BesselMap",
+                                     "--seed", "4"],
+    "compare-gaussian-bessel-msc1": ["compare", "--gamma", "0,5",
+                                     "--realizations", "5000", "--msc", "1",
+                                     "--y-model", "gaussian", "--detectors",
+                                     "Correlation,BesselMap", "--seed", "4"],
     "coverage-exact": ["coverage", "--engine", "exact", "--resolution", "6",
                        "--half-span", "0.4"],
     "coverage-off-origin": ["coverage", "--ue", "1.0,0.5", "--bs", "51,0.5",
@@ -120,6 +132,18 @@ GOLDEN = {
             "a801e23da4b5aa11985bac7b9ef53c11bea32e3d853d2003c433b47b2baef70e",
         "disagreement.csv":
             "10820cd9062717b278240da4727e54e31afeb1695e7b7853eedcb45e3b732aff",
+    },
+    "compare-gaussian-bessel-msc2": {
+        "compare.csv":
+            "7f7a32753649d6e2354c7d843221e5a01415252e2a037b7ce59f682b6182344d",
+        "disagreement.csv":
+            "bb52f70790b16ade07e4cc655249e818a00789925eccc484e315d4983e98c921",
+    },
+    "compare-gaussian-bessel-msc1": {
+        "compare.csv":
+            "d0e02e97c78ab24604d592b275b5cd9f65007010c73dc051f6dcdcdcf7f11aa2",
+        "disagreement.csv":
+            "9f64151f7ff1672f075cf7deefbf7ebb7f5a4daf4749ac2e3d3ba951831bc5b8",
     },
     "coverage-exact": {
         "contours.csv":

@@ -65,3 +65,15 @@ class TestEnergyStream:
         res = stats.ks_2samp(a, b)
         assert res.pvalue > 0.01
 
+
+    def test_mixed_zero_and_nonzero_gains(self):
+        # zero gains draw the central law in index order with the rest;
+        # each class averages its own mean within 5 standard errors
+        rng = np.random.default_rng(38)
+        h0, s2, m, n = 0.7 + 0.6j, 1.3, 12, 20_000
+        h = np.where(np.arange(n) % 2, h0, 0.0)
+        ys = energy_stream(h, m, s2, rng)
+        for sel, g2 in ((ys[0::2], 0.0), (ys[1::2], abs(h0) ** 2)):
+            mean_ref = m * (s2 + g2)
+            se = np.sqrt(m * (s2 ** 2 + 2 * s2 * g2) / sel.size)
+            assert abs(sel.mean() - mean_ref) < 5.0 * se

@@ -9,7 +9,9 @@ from ambcsim.modem import (
     DETECTOR_KINDS,
     FRAME_BITS,
     PAYLOAD_BITS,
+    SCHEMES,
     SYNC_BITS,
+    _metric_diff,
     demodulate_stream,
     detect,
     encode_bits,
@@ -37,6 +39,23 @@ def _mean_energies(bits, alphabet, ch, m_sc):
     a_off = abs(composite_gain(ch, -1)) ** 2
     g2 = np.where(chips > 0, a_on, a_off)
     return m_sc * (ch.noise_power + g2)
+
+
+def _mp_log_likelihood(y, g, noise_power, m_sc):
+    """ln of the density of one energy sample y at gain magnitude g, to
+    30 digits: 2y/sigma^2 is chi-square with 2M degrees of freedom and
+    noncentrality 2M g^2/sigma^2, plus the Jacobian 2/sigma^2 that both
+    hypotheses share."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        x = 2 * mp.mpf(y) / noise_power
+        lam = 2 * m_sc * mp.mpf(g) ** 2 / noise_power
+        nu = m_sc - 1
+        if lam == 0:
+            return (nu * mp.log(x) - x / 2 - (nu + 1) * mp.log(2)
+                    - mp.loggamma(nu + 1))
+        return (-mp.log(2) - (x + lam) / 2 + mp.mpf(nu) / 2 * mp.log(x / lam)
+                + mp.log(mp.besseli(nu, mp.sqrt(lam * x))))
 
 
 class TestAlphabets:
@@ -146,6 +165,44 @@ class TestDetectors:
         y = np.full(4, 7.0)
         for kind in DETECTOR_KINDS:
             assert detect(kind, y, self.alphabet, self.ch, 288) == 0
+        # with both state gains zero no sample, zero or not, tells the
+        # symbols apart
+        ch = ChannelSet(h_d=0.0, h_s=0.0, h_b=1.0, noise_power=1.0)
+        for scheme in SCHEMES:
+            a = make_alphabet(scheme, 4)
+            for y in (np.full(4, 7.0), np.array([0.0, 3.0, 7.0, 12.0])):
+                for kind in DETECTOR_KINDS:
+                    d = _metric_diff(kind, y[None, :], a, ch, 288)
+                    assert d[0] == 0.0, (scheme, kind)
+                    assert detect(kind, y, a, ch, 288) == 0, (scheme, kind)
+
+    @pytest.mark.parametrize("m_sc", [1, 2, 12, 288])
+    def test_bessel_map_is_the_log_likelihood_ratio(self, m_sc):
+        # against the noncentral chi-square log density summed per chip,
+        # at random energies drawn from the law of a random symbol; the
+        # second channel's off-state gain is zero
+        rng = np.random.default_rng(13)
+        for ch in (self.ch, _channel(1.0, 0.0, 0.5)):
+            a_on = abs(composite_gain(ch, +1))
+            a_off = abs(composite_gain(ch, -1))
+            for scheme in ("BPSK", "FSK"):
+                for n in (4, 8):
+                    a = make_alphabet(scheme, n)
+                    g0 = np.where(a.s0 > 0, a_on, a_off)
+                    g1 = np.where(a.s1 > 0, a_on, a_off)
+                    for _ in range(3):
+                        g = g1 if rng.integers(2) else g0
+                        y = (ch.noise_power / 2.0) * rng.noncentral_chisquare(
+                            2 * m_sc, 2.0 * m_sc * g ** 2 / ch.noise_power)
+                        ref = sum(
+                            _mp_log_likelihood(yi, h0, ch.noise_power, m_sc)
+                            - _mp_log_likelihood(yi, h1, ch.noise_power, m_sc)
+                            for yi, h0, h1 in zip(y, g0, g1))
+                        got = _metric_diff("BesselMap", y[None, :], a, ch,
+                                           m_sc)[0]
+                        assert y.min() > 0.0
+                        assert abs(got - float(ref)) < 1e-9 * abs(float(ref)), (
+                            scheme, n, got, ref)
 
     def test_correlation_reduces_to_pattern_sum(self):
         # with the antipodal alphabet the rule is the sign of sum s0[i] y[i]

@@ -19,10 +19,11 @@ PAYLOADS = st.lists(st.integers(0, 1), min_size=PAYLOAD_BITS,
 
 @st.composite
 def channels(draw):
-    """A channel whose on and off gain magnitudes are distinct non-zero
-    integers, either one the larger. Integer gains keep the detector
-    products exact, so equal metrics tie bit for bit."""
-    a_on, a_off = draw(st.lists(st.integers(1, 20), min_size=2, max_size=2,
+    """A channel whose on and off gain magnitudes are distinct integers
+    from 0 to 20, either one the larger, so either state may have a
+    zero gain. Integer gains keep the detector products exact, so equal
+    metrics tie bit for bit."""
+    a_on, a_off = draw(st.lists(st.integers(0, 20), min_size=2, max_size=2,
                                 unique=True))
     noise = draw(st.floats(1e-3, 10.0))
     return ChannelSet(h_d=a_off, h_s=a_on - a_off, h_b=1.0,
