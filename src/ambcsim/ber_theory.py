@@ -35,6 +35,10 @@ from .specfun import q_func, q_inv
 _REL_TOL = 1e-12
 _MAX_TERMS = 20000
 
+# k-steps per scratch block of _reg_beta_table: at the usual nj of about
+# a thousand, a block of 64 rows is 0.5 MB
+_BLOCK = 64
+
 
 class SeriesError(RuntimeError):
     """A truncated series gives up: a Poisson window needs more than
@@ -166,44 +170,62 @@ def _reg_beta_table(x, a0, b0, nj, nk):
         I_x(a+1, b) = I_x(a, b) - x^a (1-x)^b G(a+b) / (G(a+1) G(b))
         I_x(a, b+1) = I_x(a, b) + x^a (1-x)^b G(a+b) / (G(a) G(b+1))
 
-    with every step term formed in the log domain. Costs two cumsums
-    instead of nj * nk betainc calls.
+    with every step term formed in the log domain. Costs two running
+    sums instead of nj * nk betainc calls.
 
-    The k-steps are laid out transposed, row t and column j, in one
-    (nk, nj) buffer whose row 0 is the j-column, so the running sums
-    over k are whole-row adds down axis 0. Every entry still comes from
-    the same operations in the same order as a j-major build: the
-    log-terms are summed left to right, exp runs on contiguous memory,
-    each row's cumsum over the step terms alone is taken before the
-    column value is added, and the matrix product sees the C-contiguous
-    copy. The bits are therefore those of the j-major table.
+    The j-column (k = 0) goes into column 0 of the output. The k-steps
+    are then taken _BLOCK at a time in one contiguous (_BLOCK, nj)
+    scratch block, row t and column j, small enough to stay in cache:
+    the log-terms, exp, the running sums over t (one whole-row add per
+    step, the first row of a block adding the last running row of the
+    previous block) and then the j-column, before the block is written
+    transposed into its columns of the output. Every entry keeps the
+    bits of a j-major build: each log-term is the same IEEE operations
+    in the same order, exp is elementwise, and a running sum is
+    sequential whether it runs along a row or down rows in blocks; the
+    column value is added only after the sum. The product with the
+    k-weights stays one matrix-vector product over the whole
+    C-contiguous table (see _f_cdf_series), since a blocked product
+    would sum in another order and move the last bits.
     """
     la = math.log(x)
     lb = math.log1p(-x)
     corner = float(_sp.betainc(a0, b0, x))
-    buf = np.empty((nk, nj))
-    col = buf[0]
+    out = np.empty((nj, nk))
+    col = np.empty(nj)
     col[0] = corner
     if nj > 1:
         j = np.arange(nj - 1, dtype=float)
         lt = ((a0 + j) * la + b0 * lb + _sp.gammaln(a0 + j + b0)
               - _sp.gammaln(a0 + j + 1.0) - _sp.gammaln(b0))
         col[1:] = corner - np.cumsum(np.exp(lt))
+    out[:, 0] = col
     if nk > 1:
         j = np.arange(nj, dtype=float)
         t = np.arange(nk - 1, dtype=float)[:, None]
+        ja = (a0 + j) * la
+        ga = _sp.gammaln(a0 + j)
+        tb = (b0 + t) * lb
+        gb = _sp.gammaln(b0 + t + 1.0)
         # gammaln(a0 + b0 + j + t) read out of one 1-D array via windows
         s = _sp.gammaln(a0 + b0 + np.arange(nj + nk - 2, dtype=float))
         hank = np.lib.stride_tricks.sliding_window_view(s, nj)
-        lt = buf[1:]
-        np.add((a0 + j) * la, (b0 + t) * lb, out=lt)
-        lt += hank
-        lt -= _sp.gammaln(a0 + j)
-        lt -= _sp.gammaln(b0 + t + 1.0)
-        np.exp(lt, out=lt)
-        np.cumsum(lt, axis=0, out=lt)
-        lt += col
-    out = np.ascontiguousarray(buf.T)
+        blk = np.empty((min(_BLOCK, nk - 1), nj))
+        for r0 in range(0, nk - 1, _BLOCK):
+            r1 = min(r0 + _BLOCK, nk - 1)
+            lt = blk[:r1 - r0]
+            np.add(ja, tb[r0:r1], out=lt)
+            lt += hank[r0:r1]
+            lt -= ga
+            lt -= gb[r0:r1]
+            np.exp(lt, out=lt)
+            if r0:
+                np.add(lt[0], carry, out=lt[0])
+            for i in range(1, r1 - r0):
+                np.add(lt[i], lt[i - 1], out=lt[i])
+            carry = lt[-1].copy()
+            lt += col
+            out[:, 1 + r0:1 + r1] = lt.T
     return np.clip(out, 0.0, 1.0, out=out)
 
 

@@ -78,6 +78,15 @@ class ChannelSet:
             raise ValueError("bd_modulation_depth must be in (0, 1]")
         if not 0.0 <= self.bd_off_depth < self.bd_modulation_depth:
             raise ValueError("bd_off_depth must be in [0, bd_modulation_depth)")
+        # finite path gains can still give a composite gain, or a squared
+        # magnitude, beyond a double; the error rates need both
+        for b in (1, -1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = composite_gain(self, b)
+            m = math.hypot(g.real, g.imag)
+            if not math.isfinite(m * m):
+                raise ValueError("composite gains and their squared "
+                                 "magnitudes must be finite")
 
 
 def fspl_gain(d: float, lam: float) -> complex:

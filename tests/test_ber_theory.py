@@ -1,5 +1,6 @@
 """Doubly noncentral F series, exact and asymptotic error rates."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats as st
 
 import ambcsim
 from ambcsim.ber_theory import (
+    _BLOCK,
     _REL_TOL,
     DetectionParams,
     SeriesError,
@@ -168,6 +170,17 @@ class TestRegBetaTable:
         (0.7, 80.5, 120.0, 57, 31),
         (0.5, 5000.0, 5200.0, 1102, 1102),
         (0.5, 4100.0, 5900.0, 700, 1300),
+        # the largest table the exact-series workload builds
+        (0.5, 7000.0, 7100.0, 1795, 1743),
+        # x != 1/2 across several blocks
+        (0.45, 900.0, 1100.0, 150, 3 * _BLOCK + 7),
+    ] + [
+        # k-steps (nk - 1) on either side of one and two block lengths
+        (0.5, a0, b0, nj, steps + 1)
+        for nj, a0, b0 in ((1, 300.0, 280.0), (2, 300.0, 280.0),
+                           (1102, 5000.0, 5200.0))
+        for steps in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK,
+                      2 * _BLOCK + 1)
     ])
     def test_bits_match_j_major_build(self, x, a0, b0, nj, nk):
         got = _reg_beta_table(x, a0, b0, nj, nk)
@@ -175,6 +188,18 @@ class TestRegBetaTable:
         assert got.shape == (nj, nk)
         assert got.flags.c_contiguous
         assert np.array_equal(got, ref)
+
+    def test_peak_memory_is_about_the_table(self):
+        # the k-steps go through one block of scratch, not a second
+        # table-sized buffer
+        n = 1102
+        tracemalloc.start()
+        try:
+            _reg_beta_table(0.5, 5000.0, 5200.0, n, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
 
     def test_matches_betainc(self):
         got = _reg_beta_table(0.4, 3.0, 5.0, 6, 7)

@@ -77,7 +77,11 @@ class TestChannelSet:
 
     @pytest.mark.parametrize("kw", [
         dict(h_d=np.nan), dict(h_s=complex(0.1, np.inf)), dict(h_b=np.inf),
-        dict(noise_power=np.nan), dict(noise_power=np.inf)])
+        dict(noise_power=np.nan), dict(noise_power=np.inf),
+        # finite path gains whose on-state gain, or off-state gain's
+        # squared magnitude, is beyond a double
+        dict(h_d=1.0, h_s=1e200, h_b=1e200),
+        dict(h_d=1e200, h_s=0.0, h_b=0.0)])
     def test_non_finite_values_rejected(self, kw):
         base = dict(h_d=1.0, h_s=0.1, h_b=1.0, noise_power=1.0)
         with pytest.raises(ValueError, match="finite"):

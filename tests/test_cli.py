@@ -152,6 +152,12 @@ class TestConfigFile:
                      id="coverage-gamma-overflow"),
         pytest.param(None, ["coverage", "--freq-mhz", "1e303"],
                      id="coverage-freq-overflow"),
+        pytest.param(None, ["simulate", "--direct-db", "3200"],
+                     id="simulate-direct-gain-overflow"),
+        pytest.param(None, ["theory", "--direct-db", "3200"],
+                     id="theory-direct-gain-overflow"),
+        pytest.param(None, ["simulate", "--scatter-db", "3200"],
+                     id="simulate-scatter-gain-overflow"),
     ])
     def test_unknown_key_is_usage_error(self, tmp_path, text, argv):
         cfgf = tmp_path / "run.cfg"
