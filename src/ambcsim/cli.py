@@ -4,7 +4,9 @@ Subcommands: theory | simulate | compare | coverage | replicate.
 Common flags: --seed, --config, --out-dir, --threads. A flat
 key=value config file supplies defaults; explicit flags win. Every run
 writes its CSV outputs plus a run_manifest.json recording the resolved
-configuration, seed, version, timestamps, and output hashes.
+configuration, seed, version, timestamps, output hashes, and the
+environment (Python, numpy and scipy versions, platform, CPU count,
+OPENBLAS_NUM_THREADS).
 
 CSV files use a single header row, '.' decimal separator, UTF-8, LF
 line endings, and 9-significant-digit floats, so identical seed and
@@ -20,10 +22,12 @@ import json
 import math
 import operator
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy  # for the manifest's version stamp; specfun holds the numerics
 
 from . import __version__
 from .ber_theory import (SeriesError, _params_for_u, exact_ber,
@@ -78,6 +82,14 @@ def finite(text: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"not a finite number: {text}")
     return x
+
+
+def positive_int(text: str) -> int:
+    """An integer flag value of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
+    return n
 
 
 def parse_grid(text: str):
@@ -175,7 +187,7 @@ def _add_common(sub):
     sub.add_argument("--config", type=str, default=None)
     sub.add_argument("--out-dir", type=str,
                      default=os.environ.get("AMBCSIM_OUT_DIR", "."))
-    sub.add_argument("--threads", type=int, default=1,
+    sub.add_argument("--threads", type=positive_int, default=1,
                      help="worker processes of simulate, compare and "
                           "replicate; theory and coverage ignore it")
 
@@ -269,6 +281,20 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _environment():
+    """What the output bits may depend on beyond config and seed: numpy
+    streams, scipy special functions, and the OpenBLAS thread count of
+    the exact series' last matrix-vector product (None when unset)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
 def _manifest(args, outputs, started, out_dir):
     doc = {
         "subcommand": args.subcommand,
@@ -279,6 +305,7 @@ def _manifest(args, outputs, started, out_dir):
         "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": [{"path": os.path.basename(p), "sha256": _sha256(p)}
                     for p in outputs],
+        "environment": _environment(),
     }
     path = os.path.join(out_dir, "run_manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as f:

@@ -10,6 +10,18 @@ With noise power sigma_n^2 per subcarrier and a frequency-flat gain h,
 the normalized statistic 2 y / sigma_n^2 follows a noncentral
 chi-square law with 2 m_sc degrees of freedom and noncentrality
 2 m_sc |h|^2 / sigma_n^2.
+
+The per-subcarrier path draws its random numbers in a fixed order:
+chunks of _CHUNK chips, and within a chunk all symbol phases, then all
+in-phase noise normals, then all quadrature noise normals, each as
+(chips x m_sc) in row-major order. numpy's Generator gives the same
+numbers whether such a draw is taken whole or in consecutive row
+blocks, so the path builds a chunk _BLOCK chips at a time and keeps at
+most two (chunk x m_sc) float arrays alive, with the bits of the
+one-shot formula
+
+    rx = h * exp(1j * theta) + scale * (a + 1j * b)
+    y = sum_k (Re rx)^2 + (Im rx)^2.
 """
 
 from __future__ import annotations
@@ -17,6 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
+_CHUNK = 4096
+_BLOCK = 64
 
 
 def energy_stream(h, m_sc: int, noise_power: float, rng, per_re: bool = False):
@@ -36,15 +50,34 @@ def energy_stream(h, m_sc: int, noise_power: float, rng, per_re: bool = False):
     if per_re:
         out = np.empty(h.size)
         scale = np.sqrt(noise_power / 2.0)
-        # chunked so the (chips x subcarriers) scratch stays small
-        step = 4096
-        for start in range(0, h.size, step):
-            hh = h[start:start + step, None]
-            sym = np.exp(1j * rng.uniform(0.0, _TWO_PI, (hh.shape[0], m_sc)))
-            noise = scale * (rng.standard_normal((hh.shape[0], m_sc))
-                             + 1j * rng.standard_normal((hh.shape[0], m_sc)))
-            rx = hh * sym + noise
-            out[start:start + step] = np.sum(rx.real ** 2 + rx.imag ** 2, axis=1)
+        for start in range(0, h.size, _CHUNK):
+            hh = h[start:start + _CHUNK, None]
+            out[start:start + _CHUNK] = _per_re_chunk(hh, m_sc, scale, rng)
         return out
     nonc = 2.0 * m_sc * np.abs(h) ** 2 / noise_power
     return (noise_power / 2.0) * rng.noncentral_chisquare(2 * m_sc, nonc)
+
+
+def _per_re_chunk(hh, m_sc: int, scale, rng):
+    """Energy of each chip in the column hh over m_sc synthesized
+    subcarriers, with noise scale per real dimension. Two (chips x m_sc)
+    arrays: `re` holds Re rx, and the phase array is overwritten block by
+    block with Im rx. Re and Im of scale * (a + 1j * b) are exactly
+    scale * a and scale * b, and complex addition is componentwise, so
+    the parts add separately."""
+    n = hh.shape[0]
+    im = rng.uniform(0.0, _TWO_PI, (n, m_sc))
+    re = np.empty_like(im)
+    for lo in range(0, n, _BLOCK):
+        theta = im[lo:lo + _BLOCK]
+        a = rng.standard_normal(theta.shape)
+        z = hh[lo:lo + _BLOCK] * np.exp(1j * theta)
+        np.add(z.real, scale * a, out=re[lo:lo + _BLOCK])
+        theta[...] = z.imag
+    out = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        blk = im[lo:lo + _BLOCK]
+        blk += scale * rng.standard_normal(blk.shape)
+        out[lo:lo + _BLOCK] = np.sum(re[lo:lo + _BLOCK] ** 2 + blk ** 2,
+                                     axis=1)
+    return out

@@ -209,8 +209,11 @@ def _simulate_shard(cfg: SweepConfig, gamma_db: float, point_index: int,
 def _pool_map(fn, tasks, threads: int):
     """fn(*task) for each argument tuple in tasks, in task order: in this
     process when threads is 1, else in a pool of that many spawned
-    worker processes (fn must be a module-level function)."""
-    if threads <= 1:
+    worker processes (fn must be a module-level function). threads
+    below 1 is a ValueError."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    if threads == 1:
         return [fn(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=threads,
                              mp_context=get_context("spawn")) as ex:

@@ -3,6 +3,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -158,6 +159,14 @@ class TestConfigFile:
                      id="theory-direct-gain-overflow"),
         pytest.param(None, ["simulate", "--scatter-db", "3200"],
                      id="simulate-scatter-gain-overflow"),
+        pytest.param(None, ["simulate", "--threads", "0"],
+                     id="simulate-threads-zero"),
+        pytest.param(None, ["compare", "--threads=-2"],
+                     id="compare-threads-negative"),
+        pytest.param(None, ["replicate", "--threads", "0"],
+                     id="replicate-threads-zero"),
+        pytest.param("threads=-2\n", ["simulate", "--config", "CFG"],
+                     id="config-threads-negative"),
     ])
     def test_unknown_key_is_usage_error(self, tmp_path, text, argv):
         cfgf = tmp_path / "run.cfg"
@@ -247,6 +256,33 @@ class TestTheoryCommand:
         rc = main(["theory", "--gamma", "3"])
         assert rc == 0
         assert (tmp_path / "envout" / "theory.csv").exists()
+
+
+class TestManifestEnvironment:
+    def test_keys_present_and_csv_bytes_unchanged(self, tmp_path,
+                                                  monkeypatch):
+        # the variable is only recorded here: BLAS read it at load time
+        argv = ["simulate", "--gamma", "6", "--symbols", "2500",
+                "--seed", "4"]
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(argv + ["--out-dir", str(tmp_path / "unset")]) == 0
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert main(argv + ["--out-dir", str(tmp_path / "set")]) == 0
+        envs = {}
+        for name in ("unset", "set"):
+            doc = json.loads((tmp_path / name / "run_manifest.json")
+                             .read_text())
+            envs[name] = doc["environment"]
+        assert set(envs["unset"]) == {"python", "numpy", "scipy",
+                                      "platform", "cpu_count",
+                                      "openblas_num_threads"}
+        assert envs["unset"]["openblas_num_threads"] is None
+        assert envs["set"]["openblas_num_threads"] == "1"
+        assert envs["unset"]["python"] == platform.python_version()
+        assert envs["unset"]["numpy"] == np.__version__
+        assert envs["unset"]["cpu_count"] == os.cpu_count()
+        assert (tmp_path / "unset" / "simulate.csv").read_bytes() == \
+            (tmp_path / "set" / "simulate.csv").read_bytes()
 
 
 class TestSimulateCommand:

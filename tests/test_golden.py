@@ -10,8 +10,10 @@ the off-state gain), the FSK and DBPSK simulate paths, a gaussian-y
 BesselMap comparison, two gaussian-y BesselMap comparisons at m_sc 2
 and 1 where the clipped samples are exactly zero (1278 and 3614 of
 their 40 000 BesselMap samples; at m_sc 1 the Bessel order is 0), a
-small exact coverage map, and a gaussian and an exact map around a UE
-off the origin.
+small exact coverage map, a gaussian and an exact map around a UE
+off the origin, and two per-subcarrier simulate runs: BPSK at m_sc 288,
+whose 10 000-chip shards synthesize in chunks of 4096, 4096 and 1808
+chips, and FSK at m_sc 12.
 
 The hashes depend on numpy's random streams and scipy's special
 functions, so they are only checked under the numpy and scipy versions
@@ -55,6 +57,12 @@ INVOCATIONS = {
                      "--symbols", "2500"],
     "simulate-dbpsk": ["simulate", "--scheme", "DBPSK", "--gamma", "6",
                        "--symbols", "2500"],
+    "simulate-per-re": ["simulate", "--per-re", "--gamma", "0,6",
+                        "--symbols", "2500", "--seed", "5", "--detectors",
+                        "Correlation,BesselMap"],
+    "simulate-fsk-per-re": ["simulate", "--scheme", "FSK", "--per-re",
+                            "--msc", "12", "--gamma", "6", "--symbols",
+                            "2500"],
     "compare-gaussian-bessel": ["compare", "--gamma", "5", "--realizations",
                                 "2500", "--y-model", "gaussian",
                                 "--scatter-phase", "3.0", "--detectors",
@@ -126,6 +134,14 @@ GOLDEN = {
     "simulate-dbpsk": {
         "simulate.csv":
             "bad6153a82f89c8d8c9076705ecd8a0540adc9bde2fc2a4a9e95e0b371402e47",
+    },
+    "simulate-per-re": {
+        "simulate.csv":
+            "1a1931680cbf6b7116c97ffbbb6c034ea28120f185383e83f02be83977a9fd1e",
+    },
+    "simulate-fsk-per-re": {
+        "simulate.csv":
+            "9a77ba351a04c1029de5fa8a0a7822e67c2279deae4755c18bc59569a0f3184c",
     },
     "compare-gaussian-bessel": {
         "compare.csv":

@@ -1,4 +1,6 @@
 """Resource-grid model: the energy statistic law on both generator paths."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -65,7 +67,6 @@ class TestEnergyStream:
         res = stats.ks_2samp(a, b)
         assert res.pvalue > 0.01
 
-
     def test_mixed_zero_and_nonzero_gains(self):
         # zero gains draw the central law in index order with the rest;
         # each class averages its own mean within 5 standard errors
@@ -77,3 +78,47 @@ class TestEnergyStream:
             mean_ref = m * (s2 + g2)
             se = np.sqrt(m * (s2 ** 2 + 2 * s2 * g2) / sel.size)
             assert abs(sel.mean() - mean_ref) < 5.0 * se
+
+
+def _one_shot_per_re(h, m_sc, noise_power, rng):
+    """The per-subcarrier synthesis as one formula per 4096-chip chunk:
+    eight chunk-sized arrays at once, the bits energy_stream must keep."""
+    out = np.empty(h.size)
+    scale = np.sqrt(noise_power / 2.0)
+    for start in range(0, h.size, 4096):
+        hh = h[start:start + 4096, None]
+        sym = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (hh.shape[0], m_sc)))
+        noise = scale * (rng.standard_normal((hh.shape[0], m_sc))
+                         + 1j * rng.standard_normal((hh.shape[0], m_sc)))
+        rx = hh * sym + noise
+        out[start:start + 4096] = np.sum(rx.real ** 2 + rx.imag ** 2, axis=1)
+    return out
+
+
+class TestPerReSynthesis:
+    @pytest.mark.parametrize("m_sc", [1, 12, 288])
+    def test_bits_and_draws_match_one_shot_formula(self, m_sc):
+        # block and chunk edges on both sides; every third gain is zero
+        for n in (1, 63, 64, 65, 4095, 4096, 4097, 8193):
+            h = np.where(np.arange(n) % 3 == 1, 0.0,
+                         0.9 - 0.4j + 0.01 * np.arange(n))
+            rng_a = np.random.default_rng(n)
+            rng_b = np.random.default_rng(n)
+            got = energy_stream(h, m_sc, 1.7, rng_a, per_re=True)
+            want = _one_shot_per_re(h, m_sc, 1.7, rng_b)
+            assert got.tobytes() == want.tobytes(), n
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_chunk_keeps_two_arrays(self):
+        # one full chunk at the default m_sc: at most 2.5 (chips x m_sc)
+        # float arrays alive at the peak
+        n, m_sc = 4096, 288
+        h = np.full(n, 0.9 - 0.4j)
+        rng = np.random.default_rng(39)
+        tracemalloc.start()
+        try:
+            energy_stream(h, m_sc, 1.7, rng, per_re=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * m_sc * 8, peak / (n * m_sc * 8)

@@ -50,6 +50,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_cfg(seed=-1)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one(self, threads):
+        # raised before any work; no pool is started
+        with pytest.raises(ValueError, match="threads"):
+            run_ber_sweep(small_cfg(), threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            compare_receivers(small_cfg(detectors=("Correlation", "Power")),
+                              threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            replicate_measurement(measurement_config((8.0,), 303),
+                                  threads=threads)
+
 
 class TestWilson:
     def test_closed_form(self):
