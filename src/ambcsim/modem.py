@@ -232,6 +232,8 @@ def demodulate_stream(kind: str, stream, alphabet: SymbolAlphabet,
     n = alphabet.n_chips
     if stream.size == 0 or stream.size % n:
         raise ValueError("stream length must be a positive multiple of n_chips")
+    if not np.all(np.isfinite(stream)):
+        raise ValueError("energy samples must be finite")
     if np.any(stream < 0.0):
         raise ValueError("energy samples must be non-negative")
     ys = stream.reshape(-1, n)

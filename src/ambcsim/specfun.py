@@ -1,18 +1,34 @@
 """Special functions backing the detectors and the error-rate theory.
 
-Thin, domain-checked wrappers around scipy with fallbacks where scipy's
-primitives lose precision in the regimes this package actually hits:
+Domain-checked functions in the regimes this package actually hits:
 Bessel orders of a few hundred, arguments from 1e-6 up to 1e6, and tail
-probabilities down to 1e-12.
+probabilities down to 1e-12. Every input must be finite.
+
+`log_bessel_i` takes each element by its order. Orders of 50 and above
+come from the uniform (Debye) asymptotic expansion, DLMF 10.41.3, in
+numpy, with ten terms whose polynomials U_k(p) are built once in exact
+rationals from the recurrence DLMF 10.41.9. Lower orders come from
+scipy's exponentially scaled `ive`, and from a log-domain ascending
+series where `ive` underflows to zero; so do arguments below 1e-300 at
+any order, where x / order would no longer be a normal double. The Q
+function and its inverse come from scipy's `erfc` and `ndtri`.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
 
 _SQRT2 = np.sqrt(2.0)
 _LOG_2PI = np.log(2.0 * np.pi)
+
+# the expansion's first order, its smallest argument and its term count
+_DEBYE_MIN_ORDER = 50.0
+_DEBYE_MIN_X = 1e-300
+_DEBYE_TERMS = 10
 
 
 def _log_iv_series(order, x, n_terms=40):
@@ -27,27 +43,110 @@ def _log_iv_series(order, x, n_terms=40):
     return m + np.log(np.exp(lt - m).sum(axis=0))
 
 
-def log_bessel_i(order, x):
-    """ln I_order(x) for order >= 0 and x >= 0, elementwise.
+def _log_iv_scaled(v, x):
+    # ln ive(v, x) + x, and the ascending series where ive underflows
+    out = np.full(v.shape, -np.inf)
+    ive = _sp.ive(v, x)
+    ok = ive > 0.0
+    out[ok] = np.log(ive[ok]) + x[ok]
+    need = (~ok) & (x > 0.0)
+    if np.any(need):
+        out[need] = _log_iv_series(v[need], x[need])
+    return out
 
-    Uses the exponentially scaled Bessel function, ln I_v(x) =
-    ln ive(v, x) + x, and switches to a log-domain ascending series
-    where ive underflows to zero (large order, modest argument).
+
+@lru_cache(maxsize=None)
+def _debye_u():
+    # U_0 .. U_{terms-1} of DLMF 10.41.9 as exact coefficient lists in p
+    # (index = power):
+    #   U_{k+1}(p) = p^2 (1 - p^2) U_k'(p) / 2
+    #                + (1/8) int_0^p (1 - 5 t^2) U_k(t) dt
+    from fractions import Fraction
+
+    us = [[Fraction(1)]]
+    for _ in range(1, _DEBYE_TERMS):
+        nxt = [Fraction(0)] * (len(us[-1]) + 3)
+        for j, c in enumerate(us[-1]):
+            nxt[j + 1] += j * c / 2 + c / (8 * (j + 1))
+            nxt[j + 3] -= j * c / 2 + 5 * c / (8 * (j + 3))
+        us.append(nxt)
+    return tuple(tuple(u) for u in us)
+
+
+@lru_cache(maxsize=256)
+def _debye_poly(nu):
+    # sum_k U_k(p) / nu^k collapsed into one polynomial in p, summed in
+    # exact rationals and rounded once, highest power first for Horner
+    from fractions import Fraction
+
+    inv = 1 / Fraction(nu)
+    coef = [Fraction(0)] * len(_debye_u()[-1])
+    for k, u in enumerate(_debye_u()):
+        scale = inv ** k
+        for j, c in enumerate(u):
+            coef[j] += c * scale
+    return tuple(float(c) for c in reversed(coef))
+
+
+def _log_iv_debye_one(nu, x):
+    # DLMF 10.41.3 with x = nu w, p = (1 + w^2)^(-1/2) and
+    # eta = sqrt(1 + w^2) + ln(w / (1 + sqrt(1 + w^2))):
+    #   ln I_nu(x) = nu eta - ln(2 pi nu) / 2 + ln(p) / 2
+    #                + ln sum_k U_k(p) / nu^k
+    coef = _debye_poly(nu)
+    w = x / nu
+    root = np.hypot(1.0, w)
+    p = 1.0 / root
+    poly = coef[0] * p
+    poly += coef[1]
+    for c in coef[2:]:
+        poly *= p
+        poly += c
+    eta = root + np.log(w / (1.0 + root))
+    return (nu * eta - 0.5 * math.log(2.0 * math.pi * nu)) \
+        - 0.5 * np.log(root) + np.log(poly)
+
+
+def _log_iv_debye(v, x):
+    # one pass per distinct order, so every element sees the same
+    # operations whatever else shares its call
+    orders = np.unique(v)
+    if orders.size == 1:
+        return _log_iv_debye_one(float(orders[0]), x)
+    out = np.empty(x.shape)
+    for nu in orders:
+        sel = v == nu
+        out[sel] = _log_iv_debye_one(float(nu), x[sel])
+    return out
+
+
+def log_bessel_i(order, x):
+    """ln I_order(x) for finite order >= 0 and finite x >= 0,
+    elementwise; ln I_v(0) is -inf for v > 0.
+
+    Each element takes the path its order selects (see the module
+    docstring), so a scalar order and the same order inside an array
+    give the same bits.
     """
     o_in = np.asarray(order, dtype=float)
     x_in = np.asarray(x, dtype=float)
     scalar = o_in.ndim == 0 and x_in.ndim == 0
     v, xx = np.broadcast_arrays(np.atleast_1d(o_in), np.atleast_1d(x_in))
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(xx))):
+        raise ValueError("log_bessel_i requires a finite order and x")
     if np.any(v < 0.0) or np.any(xx < 0.0):
         raise ValueError("log_bessel_i requires order >= 0 and x >= 0")
 
-    out = np.full(v.shape, -np.inf)
-    ive = _sp.ive(v, xx)
-    ok = ive > 0.0
-    out[ok] = np.log(ive[ok]) + xx[ok]
-    need = (~ok) & (xx > 0.0)
-    if np.any(need):
-        out[need] = _log_iv_series(v[need], xx[need])
+    debye = (v >= _DEBYE_MIN_ORDER) & (xx >= _DEBYE_MIN_X)
+    if np.all(debye):
+        out = _log_iv_debye(v, xx)
+    elif not np.any(debye):
+        out = _log_iv_scaled(v, xx)
+    else:
+        out = np.empty(v.shape)
+        out[debye] = _log_iv_debye(v[debye], xx[debye])
+        rest = ~debye
+        out[rest] = _log_iv_scaled(v[rest], xx[rest])
     return float(out[0]) if scalar else out
 
 
@@ -61,7 +160,7 @@ def q_func(x):
 def q_inv(p):
     """Inverse of q_func on (0, 1)."""
     p_in = np.asarray(p, dtype=float)
-    if np.any((p_in <= 0.0) | (p_in >= 1.0)):
+    if not np.all((p_in > 0.0) & (p_in < 1.0)):
         raise ValueError("q_inv requires 0 < p < 1")
     z = -_sp.ndtri(p_in)
     # One Newton step pins the q_func round trip to machine precision.

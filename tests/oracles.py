@@ -132,3 +132,21 @@ def circularity(points) -> float:
     c = pts.mean(axis=0)
     rr = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
     return float(rr.std() / rr.mean())
+
+
+# ---------------------------------------------------------------------------
+# arbitrary-precision Bessel oracle
+# ---------------------------------------------------------------------------
+
+# the grid on which the large-order expansion of ln I_v is checked:
+# orders at and above its threshold (50), 60 log-spaced arguments
+DEBYE_ORDERS = (50, 63, 287, 1024)
+DEBYE_X = tuple(np.logspace(-6.0, 6.0, 60))
+
+
+def log_bessel_mp(order, x: float, dps: int = 40) -> float:
+    """ln I_order(x) from mpmath's besseli at `dps` digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return float(mp.log(mp.besseli(order, mp.mpf(x))))

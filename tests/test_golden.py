@@ -9,8 +9,10 @@ of |1 + iota| = 1, a destructive simulate geometry (on-state gain below
 the off-state gain), the FSK and DBPSK simulate paths, a gaussian-y
 BesselMap comparison, two gaussian-y BesselMap comparisons at m_sc 2
 and 1 where the clipped samples are exactly zero (1278 and 3614 of
-their 40 000 BesselMap samples; at m_sc 1 the Bessel order is 0), a
-small exact coverage map, a gaussian and an exact map around a UE
+their 40 000 BesselMap samples; at m_sc 1 the Bessel order is 0), two
+gaussian-y BesselMap comparisons at m_sc 50 and 51, whose Bessel orders
+49 and 50 are the last one served by scipy's ive and the first one
+served by the uniform asymptotic expansion, a small exact coverage map, a gaussian and an exact map around a UE
 off the origin, and two per-subcarrier simulate runs: BPSK at m_sc 288,
 whose 10 000-chip shards synthesize in chunks of 4096, 4096 and 1808
 chips, and FSK at m_sc 12.
@@ -76,6 +78,16 @@ INVOCATIONS = {
                                      "--realizations", "5000", "--msc", "1",
                                      "--y-model", "gaussian", "--detectors",
                                      "Correlation,BesselMap", "--seed", "4"],
+    "compare-gaussian-bessel-msc50": ["compare", "--gamma", "0,5",
+                                      "--realizations", "2500", "--msc",
+                                      "50", "--y-model", "gaussian",
+                                      "--detectors", "Correlation,BesselMap",
+                                      "--seed", "6"],
+    "compare-gaussian-bessel-msc51": ["compare", "--gamma", "0,5",
+                                      "--realizations", "2500", "--msc",
+                                      "51", "--y-model", "gaussian",
+                                      "--detectors", "Correlation,BesselMap",
+                                      "--seed", "6"],
     "coverage-exact": ["coverage", "--engine", "exact", "--resolution", "6",
                        "--half-span", "0.4"],
     "coverage-off-origin": ["coverage", "--ue", "1.0,0.5", "--bs", "51,0.5",
@@ -160,6 +172,18 @@ GOLDEN = {
             "d0e02e97c78ab24604d592b275b5cd9f65007010c73dc051f6dcdcdcf7f11aa2",
         "disagreement.csv":
             "9f64151f7ff1672f075cf7deefbf7ebb7f5a4daf4749ac2e3d3ba951831bc5b8",
+    },
+    "compare-gaussian-bessel-msc50": {
+        "compare.csv":
+            "f989658864f3b9d5baad9692320629af724ea7b70575070399236c0e3c5dff59",
+        "disagreement.csv":
+            "c77135fcd3a6a8e42c68889165abedd31fd5ef2b8ebdf15a2e9fe26f3fe3fc26",
+    },
+    "compare-gaussian-bessel-msc51": {
+        "compare.csv":
+            "664627639b415c7a591b623048af4079368e20b5b83123616453a351de02d404",
+        "disagreement.csv":
+            "a5dd0113c80c89bda2e377ec624c2fbd366f7530a28906148c53af5e977e3540",
     },
     "coverage-exact": {
         "contours.csv":

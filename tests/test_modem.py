@@ -286,6 +286,13 @@ class TestDetectors:
         with pytest.raises(ValueError):
             demodulate_stream("Correlation", [], self.alphabet, self.ch, 288)
 
+    def test_non_finite_sample_rejected(self):
+        for kind in DETECTOR_KINDS:
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError):
+                    demodulate_stream(kind, [1.0, bad, 1.0, 2.0],
+                                      self.alphabet, self.ch, 288)
+
     def test_differential_decode_survives_waveform_inversion(self):
         # a global sign flip of the chip stream corrupts at most bit 0
         a = make_alphabet("DBPSK", 4)

@@ -4,14 +4,24 @@ import pytest
 
 from ambcsim.specfun import log_bessel_i, q_func, q_inv
 from oracles import (
+    DEBYE_ORDERS,
+    DEBYE_X,
     LOG_I0_1,
     LOG_I287_600,
     LOG_I1024_1E6,
     LOG_I32_50,
     Q_AT_3,
     QINV_1E2,
+    log_bessel_mp,
     log_bessel_series,
 )
+
+
+def _worst_scaled_error(order):
+    """Largest |got - ref| / max(1, |ref|) over the oracle grid."""
+    got = log_bessel_i(order, np.array(DEBYE_X))
+    ref = np.array([log_bessel_mp(order, x) for x in DEBYE_X])
+    return float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))))
 
 
 class TestLogBesselI:
@@ -80,6 +90,51 @@ class TestLogBesselI:
         with pytest.raises(ValueError):
             log_bessel_i(-1, 1.0)
 
+    def test_non_finite_order_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                log_bessel_i(bad, 1.0)
+
+    def test_non_finite_argument_rejected(self):
+        for order, bad in ((0, np.nan), (287, np.nan), (287, np.inf)):
+            with pytest.raises(ValueError):
+                log_bessel_i(order, bad)
+
+
+class TestLogBesselLargeOrder:
+    """Orders of 50 and above come from the uniform asymptotic
+    expansion; lower orders from scipy's ive."""
+
+    def test_expansion_matches_mpmath_grid(self):
+        pytest.importorskip("mpmath")
+        for order in DEBYE_ORDERS:
+            assert _worst_scaled_error(order) <= 1e-14, order
+
+    def test_last_ive_order_on_the_same_grid(self):
+        # order 49, the last one left to scipy's ive, misses 1e-14 there:
+        # its worst is 1.24e-14, at x = 33.53 (order 50 is on the grid)
+        pytest.importorskip("mpmath")
+        assert _worst_scaled_error(49) <= 2e-14
+
+    def test_scalar_and_array_orders_give_same_bits(self):
+        orders = np.array([0.0, 1.0, 17.0, 49.0, 50.0, 51.0, 287.0, 900.5,
+                           1024.0])
+        xs = np.array([0.0, 1e-305, 1e-6, 1.0, 33.5, 600.0, 1e6])
+        o, x = np.meshgrid(orders, xs)
+        together = log_bessel_i(o, x)
+        one_by_one = np.array([[log_bessel_i(a, b) for a, b in zip(ra, rb)]
+                               for ra, rb in zip(o, x)])
+        assert np.array_equal(together, one_by_one)
+        for j, order in enumerate(orders):
+            assert np.array_equal(log_bessel_i(order, xs), together[:, j])
+
+    def test_zero_argument_in_array(self):
+        # -inf without a RuntimeWarning, which the suite turns into a
+        # failure
+        out = log_bessel_i(287, np.array([0.0, 1.0, 0.0]))
+        assert out[0] == out[2] == -np.inf
+        assert np.isfinite(out[1])
+
 
 class TestQFunc:
     def test_center(self):
@@ -117,5 +172,10 @@ class TestQInv:
 
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
+            with pytest.raises(ValueError):
+                q_inv(bad)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 q_inv(bad)
