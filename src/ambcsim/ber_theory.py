@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special as _sp
 
 from .channel import _gamma_b
-from .specfun import q_func, q_inv
+from .specfun import betainc, gammaln, pdtr, q_func, q_inv
 
 
 # truncation of the double Poisson series: each window holds at least
@@ -83,7 +82,7 @@ def _poisson_cdf(k, mu):
     """Poisson(mu) CDF at integer k, 0 below the support."""
     if k < 0:
         return 0.0
-    c = float(_sp.pdtr(k, mu))
+    c = float(pdtr(k, mu))
     if not math.isfinite(c):
         raise SeriesError(f"Poisson CDF is not finite at mean {mu!r}")
     return c
@@ -92,36 +91,25 @@ def _poisson_cdf(k, mu):
 def _poisson_quantile(p, mu):
     """Smallest k >= 0 with CDF(k) >= p, for 0 < p < 1.
 
-    Integer bisection inside a bracket grown from floor(mu) in doubling
-    steps of about one standard deviation. Raises the window-overflow
-    SeriesError once the bracket passes _MAX_TERMS indices from
-    floor(mu).
+    Starts at the Cornish-Fisher estimate floor(mu + z sqrt(mu)
+    + (z^2 - 1) / 6), z = -q_inv(p), clipped at 0, and walks one index
+    at a time: down while CDF(k - 1) >= p, then up while CDF(k) < p.
+    Raises the window-overflow SeriesError when the estimate's step
+    from mu exceeds _MAX_TERMS, or once the upward walk passes
+    _MAX_TERMS indices above floor(mu).
     """
-    k0 = math.floor(mu)
-    step = math.isqrt(k0) + 1
-    # invariant once bracketed: CDF(below) < p <= CDF(above)
-    below = above = k0
-    if _poisson_cdf(k0, mu) >= p:
-        while _poisson_cdf(above - step, mu) >= p:
-            above -= step
-            step *= 2
-            if k0 - above > _MAX_TERMS:
-                raise _window_overflow()
-        below = above - step
-    else:
-        while _poisson_cdf(below + step, mu) < p:
-            below += step
-            step *= 2
-            if below - k0 > _MAX_TERMS:
-                raise _window_overflow()
-        above = below + step
-    while above - below > 1:
-        mid = (below + above) // 2
-        if _poisson_cdf(mid, mu) >= p:
-            above = mid
-        else:
-            below = mid
-    return above
+    z = -q_inv(p)
+    step = z * math.sqrt(mu) + (z * z - 1.0) / 6.0
+    if abs(step) > _MAX_TERMS:
+        raise _window_overflow()
+    k = max(math.floor(mu + step), 0)
+    while k > 0 and _poisson_cdf(k - 1, mu) >= p:
+        k -= 1
+    while _poisson_cdf(k, mu) < p:
+        k += 1
+        if k - math.floor(mu) > _MAX_TERMS:
+            raise _window_overflow()
+    return k
 
 
 def _poisson_window(half_lam):
@@ -136,10 +124,15 @@ def _poisson_window(half_lam):
     scipy.special.pdtr, the function scipy.stats.poisson's ppf/isf
     settle on, so the bounds are theirs wherever those are finite.
 
+    Each k_p comes from _poisson_quantile's walk of one index at a time
+    from a Cornish-Fisher start, so the bounds are those of any exact
+    search on the same CDF.
+
     Raises SeriesError for a non-finite mu, and when the window needs
     more than _MAX_TERMS indices. The median lies within one index of
-    floor(mu) and between the two quantiles, so a quantile more than
-    _MAX_TERMS indices from floor(mu) already decides that, before
+    floor(mu) and between the two quantiles, so a quantile estimate
+    more than _MAX_TERMS indices from mu, or a walk that passes
+    _MAX_TERMS indices above floor(mu), already decides that, before
     either bound is pinned down or any weight is computed.
     """
     if not math.isfinite(half_lam):
@@ -157,7 +150,7 @@ def _poisson_window(half_lam):
     if hi - lo + 1 > _MAX_TERMS:
         raise _window_overflow()
     k = np.arange(lo, hi + 1, dtype=float)
-    logw = k * math.log(half_lam) - half_lam - _sp.gammaln(k + 1.0)
+    logw = k * math.log(half_lam) - half_lam - gammaln(k + 1.0)
     return lo, np.exp(logw)
 
 
@@ -190,25 +183,25 @@ def _reg_beta_table(x, a0, b0, nj, nk):
     """
     la = math.log(x)
     lb = math.log1p(-x)
-    corner = float(_sp.betainc(a0, b0, x))
+    corner = float(betainc(a0, b0, x))
     out = np.empty((nj, nk))
     col = np.empty(nj)
     col[0] = corner
     if nj > 1:
         j = np.arange(nj - 1, dtype=float)
-        lt = ((a0 + j) * la + b0 * lb + _sp.gammaln(a0 + j + b0)
-              - _sp.gammaln(a0 + j + 1.0) - _sp.gammaln(b0))
+        lt = ((a0 + j) * la + b0 * lb + gammaln(a0 + j + b0)
+              - gammaln(a0 + j + 1.0) - gammaln(b0))
         col[1:] = corner - np.cumsum(np.exp(lt))
     out[:, 0] = col
     if nk > 1:
         j = np.arange(nj, dtype=float)
         t = np.arange(nk - 1, dtype=float)[:, None]
         ja = (a0 + j) * la
-        ga = _sp.gammaln(a0 + j)
+        ga = gammaln(a0 + j)
         tb = (b0 + t) * lb
-        gb = _sp.gammaln(b0 + t + 1.0)
+        gb = gammaln(b0 + t + 1.0)
         # gammaln(a0 + b0 + j + t) read out of one 1-D array via windows
-        s = _sp.gammaln(a0 + b0 + np.arange(nj + nk - 2, dtype=float))
+        s = gammaln(a0 + b0 + np.arange(nj + nk - 2, dtype=float))
         hank = np.lib.stride_tricks.sliding_window_view(s, nj)
         blk = np.empty((min(_BLOCK, nk - 1), nj))
         for r0 in range(0, nk - 1, _BLOCK):
@@ -243,9 +236,13 @@ def _f_cdf_series(x, nu1, nu2, win1, win2):
 
 
 def doubly_noncentral_f_cdf(x, nu1, nu2, lam1, lam2):
-    """CDF of the ratio of two independent noncentral chi-squares,
-    each divided by its degrees of freedom being unnecessary here since
-    nu1 = nu2 in every use; the ratio is taken raw."""
+    """Pr(X1 / X2 <= x) for independent noncentral chi-squares X1 with
+    nu1 degrees of freedom and noncentrality lam1, and X2 with nu2 and
+    lam2.
+
+    The ratio is taken raw: the F statistic (X1 / nu1) / (X2 / nu2) is
+    at most f exactly when X1 / X2 is at most f nu1 / nu2. The two
+    degrees of freedom may differ; both must be even and positive."""
     if x <= 0.0:
         raise ValueError("x must be positive")
     if nu1 < 2 or nu2 < 2 or nu1 % 2 or nu2 % 2:

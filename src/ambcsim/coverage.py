@@ -128,17 +128,17 @@ def compute_ber_grid(sc: CoverageScenario) -> BerGrid:
     u, bad = _scatter_fields(sc)
     g = sc.gamma
     nm = sc.n_chips * sc.m_sc
+    ok = ~bad
+    ber = np.full(u.shape, np.nan)
     if sc.engine == "gaussian":
-        num = nm * (g * (u - 1.0)) ** 2
-        den = 4.0 * (1.0 + g * (u + 1.0))
-        # singular cells carry inf in u and come out NaN by design
-        with np.errstate(invalid="ignore"):
-            ber = q_func(np.sqrt(num / den))
+        uo = u[ok]
+        num = nm * (g * (uo - 1.0)) ** 2
+        den = 4.0 * (1.0 + g * (uo + 1.0))
+        ber[ok] = q_func(np.sqrt(num / den))
         errors = ()
     else:
         # BER depends on a cell only through u: one series per distinct
         # u, scattered back to the cells
-        ok = ~bad
         uniq, inv = np.unique(u[ok], return_inverse=True)
         vals = np.empty(uniq.size)
         msgs = {}
@@ -149,12 +149,10 @@ def compute_ber_grid(sc: CoverageScenario) -> BerGrid:
             except SeriesError as exc:
                 msgs[k] = str(exc)
                 vals[k] = np.nan
-        ber = np.full_like(u, np.nan)
         ber[ok] = vals[inv]
         errors = tuple((i, j, msgs[k]) for (i, j), k
                        in zip(np.argwhere(ok).tolist(), inv.tolist())
                        if k in msgs)
-    ber = np.where(bad, np.nan, ber)
     return BerGrid(ber=ber, x_axis=sc.x_axis, y_axis=sc.y_axis,
                    errors=errors)
 

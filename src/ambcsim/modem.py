@@ -119,10 +119,10 @@ def encode_frame(payload, alphabet: SymbolAlphabet, idle_chips: int = 0) -> np.n
 def frame_sync(chip_llrs, alphabet: SymbolAlphabet):
     """Locate the frame start in a soft chip stream.
 
-    chip_llrs holds one signed soft value per chip, positive when the
-    chip looks like the reflecting state. Returns the offset with the
-    best normalized correlation against the 21-bit sync pattern, or
-    None when the peak is below twice the largest sidelobe.
+    chip_llrs holds one finite signed soft value per chip, positive
+    when the chip looks like the reflecting state. Returns the offset
+    with the best normalized correlation against the 21-bit sync
+    pattern, or None when the peak is below twice the largest sidelobe.
 
     The matched template maps sync bit b to +-(s0 - s1)/2, the
     tone-difference waveform, so a mismatched symbol contributes the
@@ -147,6 +147,8 @@ def frame_sync(chip_llrs, alphabet: SymbolAlphabet):
     frame_len = FRAME_BITS * n
     if x.size < frame_len:
         raise ValueError("stream shorter than one frame")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("soft chips must be finite")
     if alphabet.scheme == "DBPSK":
         states = np.cumsum(SYNC_BITS) % 2
     else:

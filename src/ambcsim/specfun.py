@@ -2,7 +2,8 @@
 
 Domain-checked functions in the regimes this package actually hits:
 Bessel orders of a few hundred, arguments from 1e-6 up to 1e6, and tail
-probabilities down to 1e-12. Every input must be finite.
+probabilities down to 1e-12. Every input must be finite, except that
+Q takes +-inf.
 
 `log_bessel_i` takes each element by its order. Orders of 50 and above
 come from the uniform (Debye) asymptotic expansion, DLMF 10.41.3, in
@@ -12,6 +13,9 @@ scipy's exponentially scaled `ive`, and from a log-domain ascending
 series where `ive` underflows to zero; so do arguments below 1e-300 at
 any order, where x / order would no longer be a normal double. The Q
 function and its inverse come from scipy's `erfc` and `ndtri`.
+
+This is the one module that takes numerics from scipy. The exact
+series in `ber_theory` takes `betainc`, `gammaln` and `pdtr` from here.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
+from scipy.special import betainc, erfc, gammaln, ive, ndtri, pdtr
 
 _SQRT2 = np.sqrt(2.0)
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -29,16 +33,18 @@ _LOG_2PI = np.log(2.0 * np.pi)
 _DEBYE_MIN_ORDER = 50.0
 _DEBYE_MIN_X = 1e-300
 _DEBYE_TERMS = 10
+# terms of the ascending series
+_SERIES_TERMS = 40
 
 
-def _log_iv_series(order, x, n_terms=40):
+def _log_iv_series(order, x):
     # Ascending series in the log domain:
     #   I_v(x) = sum_k (x/2)^(v+2k) / (k! Gamma(v+k+1)).
     # Only used where ive underflows (x small relative to v), so a few
     # dozen terms are far more than enough.
-    k = np.arange(n_terms, dtype=float)[:, None]
+    k = np.arange(_SERIES_TERMS, dtype=float)[:, None]
     lt = (order + 2.0 * k) * np.log(x / 2.0) \
-        - _sp.gammaln(k + 1.0) - _sp.gammaln(order + k + 1.0)
+        - gammaln(k + 1.0) - gammaln(order + k + 1.0)
     m = lt.max(axis=0)
     return m + np.log(np.exp(lt - m).sum(axis=0))
 
@@ -46,9 +52,9 @@ def _log_iv_series(order, x, n_terms=40):
 def _log_iv_scaled(v, x):
     # ln ive(v, x) + x, and the ascending series where ive underflows
     out = np.full(v.shape, -np.inf)
-    ive = _sp.ive(v, x)
-    ok = ive > 0.0
-    out[ok] = np.log(ive[ok]) + x[ok]
+    scaled = ive(v, x)
+    ok = scaled > 0.0
+    out[ok] = np.log(scaled[ok]) + x[ok]
     need = (~ok) & (x > 0.0)
     if np.any(need):
         out[need] = _log_iv_series(v[need], x[need])
@@ -107,19 +113,6 @@ def _log_iv_debye_one(nu, x):
         - 0.5 * np.log(root) + np.log(poly)
 
 
-def _log_iv_debye(v, x):
-    # one pass per distinct order, so every element sees the same
-    # operations whatever else shares its call
-    orders = np.unique(v)
-    if orders.size == 1:
-        return _log_iv_debye_one(float(orders[0]), x)
-    out = np.empty(x.shape)
-    for nu in orders:
-        sel = v == nu
-        out[sel] = _log_iv_debye_one(float(nu), x[sel])
-    return out
-
-
 def log_bessel_i(order, x):
     """ln I_order(x) for finite order >= 0 and finite x >= 0,
     elementwise; ln I_v(0) is -inf for v > 0.
@@ -137,23 +130,25 @@ def log_bessel_i(order, x):
     if np.any(v < 0.0) or np.any(xx < 0.0):
         raise ValueError("log_bessel_i requires order >= 0 and x >= 0")
 
+    # one pass per distinct large order, then one for the rest, so
+    # every element sees the same operations whatever shares its call
     debye = (v >= _DEBYE_MIN_ORDER) & (xx >= _DEBYE_MIN_X)
-    if np.all(debye):
-        out = _log_iv_debye(v, xx)
-    elif not np.any(debye):
-        out = _log_iv_scaled(v, xx)
-    else:
-        out = np.empty(v.shape)
-        out[debye] = _log_iv_debye(v[debye], xx[debye])
-        rest = ~debye
-        out[rest] = _log_iv_scaled(v[rest], xx[rest])
+    out = np.empty(v.shape)
+    for nu in np.unique(v[debye]):
+        sel = debye & (v == nu)
+        out[sel] = _log_iv_debye_one(float(nu), xx[sel])
+    rest = ~debye
+    out[rest] = _log_iv_scaled(v[rest], xx[rest])
     return float(out[0]) if scalar else out
 
 
 def q_func(x):
-    """Gaussian tail probability Q(x) = Pr(N(0,1) > x)."""
+    """Gaussian tail probability Q(x) = Pr(N(0,1) > x); Q(inf) = 0 and
+    Q(-inf) = 1, and NaN is rejected."""
     x = np.asarray(x, dtype=float)
-    out = 0.5 * _sp.erfc(x / _SQRT2)
+    if np.any(np.isnan(x)):
+        raise ValueError("q_func requires x that is not NaN")
+    out = 0.5 * erfc(x / _SQRT2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -162,7 +157,7 @@ def q_inv(p):
     p_in = np.asarray(p, dtype=float)
     if not np.all((p_in > 0.0) & (p_in < 1.0)):
         raise ValueError("q_inv requires 0 < p < 1")
-    z = -_sp.ndtri(p_in)
+    z = -ndtri(p_in)
     # One Newton step pins the q_func round trip to machine precision.
     # Skipped where the normal pdf underflows (|z| > ~38): ndtri alone
     # is already as good as doubles allow out there.

@@ -1,5 +1,7 @@
-"""The public API: ambcsim.__all__ and the package namespace agree, and
-importing the command line stays light."""
+"""The public API: ambcsim.__all__ and the package namespace agree,
+importing the command line stays light, and scipy's numerics enter
+through specfun alone."""
+import ast
 import os
 import subprocess
 import sys
@@ -34,3 +36,29 @@ def test_cli_import_loads_neither_fractions_nor_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _scipy_imports(path):
+    """(statement, module) for each scipy import in a source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += [("import", a.name) for a in node.names
+                      if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "scipy":
+            found.append(("from", node.module))
+    return found
+
+
+def test_scipy_numerics_enter_through_specfun_only():
+    # specfun may import from scipy.special; cli may only import the
+    # bare package for its version stamp; nothing else touches scipy
+    allowed = {"specfun": {("from", "scipy.special")},
+               "cli": {("import", "scipy")}}
+    stray = {}
+    for path in sorted((_SRC / "ambcsim").glob("*.py")):
+        extra = set(_scipy_imports(path)) - allowed.get(path.stem, set())
+        if extra:
+            stray[path.name] = sorted(extra)
+    assert stray == {}

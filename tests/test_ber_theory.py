@@ -8,12 +8,15 @@ from scipy import special as sp
 from scipy import stats as st
 
 import ambcsim
+from ambcsim import ber_theory
 from ambcsim.ber_theory import (
     _BLOCK,
+    _MAX_TERMS,
     _REL_TOL,
     DetectionParams,
     SeriesError,
     _params_for_u,
+    _poisson_cdf,
     _poisson_window,
     _reg_beta_table,
     ber_vs_iota,
@@ -129,6 +132,64 @@ class TestPoissonWindow:
     def test_series_error_is_public_runtime_error(self):
         assert ambcsim.SeriesError is SeriesError
         assert issubclass(SeriesError, RuntimeError)
+
+
+def _poisson_quantile_bisect(p, mu):
+    """The bracket-and-bisect quantile search the walk replaced, kept
+    verbatim as the reference for the window equivalence test."""
+    k0 = math.floor(mu)
+    step = math.isqrt(k0) + 1
+    # invariant once bracketed: CDF(below) < p <= CDF(above)
+    below = above = k0
+    if _poisson_cdf(k0, mu) >= p:
+        while _poisson_cdf(above - step, mu) >= p:
+            above -= step
+            step *= 2
+            if k0 - above > _MAX_TERMS:
+                raise ber_theory._window_overflow()
+        below = above - step
+    else:
+        while _poisson_cdf(below + step, mu) < p:
+            below += step
+            step *= 2
+            if below - k0 > _MAX_TERMS:
+                raise ber_theory._window_overflow()
+        above = below + step
+    while above - below > 1:
+        mid = (below + above) // 2
+        if _poisson_cdf(mid, mu) >= p:
+            above = mid
+        else:
+            below = mid
+    return above
+
+
+def _window_outcome(mu):
+    try:
+        lo, w = _poisson_window(mu)
+    except SeriesError as exc:
+        return str(exc)
+    return lo, w.tobytes()
+
+
+def test_quantile_walk_matches_bisection(monkeypatch):
+    # the same lo and weight bytes, or the same SeriesError message, as
+    # the bisection on log-spaced means, densely across the overflow
+    # edge near 1.9e6, and at a mean where a cumulative log-pmf sum is
+    # one index off and at one where mu + step rounds to mu
+    means = np.concatenate([
+        np.logspace(-3.0, 13.0, 2000),
+        np.linspace(1.8e6, 2.1e6, 500),
+        [26807.99615693672, 3e11, 1e300],
+    ]).tolist()
+    walked = [_window_outcome(mu) for mu in means]
+    monkeypatch.setattr(ber_theory, "_poisson_quantile",
+                        _poisson_quantile_bisect)
+    bisected = [_window_outcome(mu) for mu in means]
+    mismatched = [mu for mu, a, b in zip(means, walked, bisected) if a != b]
+    assert mismatched == []
+    # both outcomes are exercised
+    assert 0 < sum(isinstance(o, str) for o in walked) < len(means)
 
 
 def _reg_beta_table_j_major(x, a0, b0, nj, nk):

@@ -385,6 +385,22 @@ class TestFrameSync:
         with pytest.raises(ValueError):
             frame_sync(np.zeros(FRAME_BITS * 4 - 1), a)
 
+    @pytest.mark.parametrize("chip, bad", [(10, np.nan), (100, np.nan),
+                                           (450, np.inf)])
+    def test_non_finite_chip_rejected(self, chip, bad):
+        # unchecked, a NaN wins the argmax and locks at a wrong offset:
+        # 0 for chip 10 and 17 for chip 100
+        a = make_alphabet("BPSK", 4)
+        chips = np.concatenate([
+            -np.ones(40, dtype=int),
+            encode_frame(np.zeros(PAYLOAD_BITS, dtype=int), a,
+                         idle_chips=100),
+        ]).astype(float)
+        assert frame_sync(chips, a) == 40
+        chips[chip] = bad
+        with pytest.raises(ValueError, match="finite"):
+            frame_sync(chips, a)
+
 
 def _frame_sync_reference(chip_llrs, alphabet):
     """The windowed-matrix frame_sync this module's equivalence tests

@@ -155,6 +155,17 @@ class TestQFunc:
         # Q(10) = 7.6198530241605...e-24 (erfc closed form)
         assert abs(q_func(10.0) / 7.6198530241605255e-24 - 1.0) < 1e-6
 
+    def test_infinities(self):
+        assert q_func(np.inf) == 0.0
+        assert q_func(-np.inf) == 1.0
+        assert list(q_func(np.array([-np.inf, np.inf]))) == [1.0, 0.0]
+
+    @pytest.mark.parametrize("x", [np.nan, [0.0, np.nan]],
+                             ids=["scalar", "array"])
+    def test_nan_rejected(self, x):
+        with pytest.raises(ValueError, match="NaN"):
+            q_func(x)
+
 
 class TestQInv:
     def test_median(self):
