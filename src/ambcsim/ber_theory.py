@@ -12,7 +12,9 @@ with nu1 = nu2 = m_sc N and lam = m_sc N |h|^2 / sigma_n^2 for the
 matching hypothesis half. The regularized-beta table is built once per
 evaluation from a single corner value plus the two one-step
 recurrences, all in the log domain, and the double series is truncated
-to mode-centered Poisson windows.
+to mode-centered Poisson windows. The table depends only on the window
+bounds, so exact_ber can take a caller's table dict and reuse it across
+calls.
 
 The noncentrality convention above (Poisson weights in lam/2) was
 pinned empirically against a chi-square-ratio sampling oracle.
@@ -155,8 +157,8 @@ def _poisson_window(half_lam):
 
 
 def _reg_beta_table(x, a0, b0, nj, nk):
-    """I_x(a0 + j, b0 + k) for j < nj, k < nk, as a C-contiguous
-    (nj, nk) array.
+    """I_x(a0 + j, b0 + k) for j < nj, k < nk, clipped to [0, 1], as a
+    C-contiguous (nj, nk) array.
 
     Built from one betainc corner and the two single-step identities
 
@@ -166,20 +168,22 @@ def _reg_beta_table(x, a0, b0, nj, nk):
     with every step term formed in the log domain. Costs two running
     sums instead of nj * nk betainc calls.
 
-    The j-column (k = 0) goes into column 0 of the output. The k-steps
-    are then taken _BLOCK at a time in one contiguous (_BLOCK, nj)
-    scratch block, row t and column j, small enough to stay in cache:
-    the log-terms, exp, the running sums over t (one whole-row add per
-    step, the first row of a block adding the last running row of the
-    previous block) and then the j-column, before the block is written
-    transposed into its columns of the output. Every entry keeps the
-    bits of a j-major build: each log-term is the same IEEE operations
-    in the same order, exp is elementwise, and a running sum is
-    sequential whether it runs along a row or down rows in blocks; the
-    column value is added only after the sum. The product with the
-    k-weights stays one matrix-vector product over the whole
-    C-contiguous table (see _f_cdf_series), since a blocked product
-    would sum in another order and move the last bits.
+    The j-column (k = 0) is clipped once into column 0 of the output.
+    The k-steps are then taken _BLOCK at a time in one contiguous
+    (_BLOCK, nj) scratch block, row t and column j, small enough to stay
+    in cache: the log-terms, exp, the running sums over t (one
+    whole-row add per step over a list of the block's row views built
+    once, the first row of a block adding a copy of the last running
+    row of the previous block), then the unclipped j-column and the
+    clip, before the block is written transposed into its columns of
+    the output. Every entry keeps the bits of a j-major build that
+    clips the whole table at the end: each log-term is the same IEEE
+    operations in the same order, exp and clip are elementwise, and a
+    running sum is sequential whether it runs along a row or down rows
+    in blocks; the column value is added only after the sum. The
+    product with the k-weights stays one matrix-vector product over the
+    whole C-contiguous table (see _f_cdf_series), since a blocked
+    product would sum in another order and move the last bits.
     """
     la = math.log(x)
     lb = math.log1p(-x)
@@ -192,7 +196,7 @@ def _reg_beta_table(x, a0, b0, nj, nk):
         lt = ((a0 + j) * la + b0 * lb + gammaln(a0 + j + b0)
               - gammaln(a0 + j + 1.0) - gammaln(b0))
         col[1:] = corner - np.cumsum(np.exp(lt))
-    out[:, 0] = col
+    np.clip(col, 0.0, 1.0, out[:, 0])
     if nk > 1:
         j = np.arange(nj, dtype=float)
         t = np.arange(nk - 1, dtype=float)[:, None]
@@ -204,34 +208,40 @@ def _reg_beta_table(x, a0, b0, nj, nk):
         s = gammaln(a0 + b0 + np.arange(nj + nk - 2, dtype=float))
         hank = np.lib.stride_tricks.sliding_window_view(s, nj)
         blk = np.empty((min(_BLOCK, nk - 1), nj))
+        rows = list(blk)
         for r0 in range(0, nk - 1, _BLOCK):
             r1 = min(r0 + _BLOCK, nk - 1)
-            lt = blk[:r1 - r0]
-            np.add(ja, tb[r0:r1], out=lt)
+            n = r1 - r0
+            lt = blk[:n]
+            np.add(ja, tb[r0:r1], lt)
             lt += hank[r0:r1]
             lt -= ga
             lt -= gb[r0:r1]
-            np.exp(lt, out=lt)
+            np.exp(lt, lt)
             if r0:
-                np.add(lt[0], carry, out=lt[0])
-            for i in range(1, r1 - r0):
-                np.add(lt[i], lt[i - 1], out=lt[i])
-            carry = lt[-1].copy()
+                np.add(rows[0], carry, rows[0])
+            for i in range(1, n):
+                np.add(rows[i], rows[i - 1], rows[i])
+            carry = rows[n - 1].copy()
             lt += col
+            np.clip(lt, 0.0, 1.0, lt)
             out[:, 1 + r0:1 + r1] = lt.T
-    return np.clip(out, 0.0, 1.0, out=out)
+    return out
 
 
-def _f_cdf_series(x, nu1, nu2, win1, win2):
-    """The double series of doubly_noncentral_f_cdf on prebuilt Poisson
-    windows win1 = (jlo, wj) for lam1 / 2 and win2 = (klo, wk) for
-    lam2 / 2."""
-    jlo, wj = win1
-    klo, wk = win2
-    xb = x / (1.0 + x)
-    table = _reg_beta_table(xb, nu1 / 2.0 + jlo, nu2 / 2.0 + klo,
-                            wj.size, wk.size)
-    val = math.fsum(wj * (table @ wk))
+def _table_key(x, nu1, nu2, win1, win2):
+    """The _reg_beta_table arguments of the series of
+    doubly_noncentral_f_cdf on the Poisson windows win1 (j) and win2
+    (k): they hold the window bounds, not the weights."""
+    return (x / (1.0 + x), nu1 / 2.0 + win1[0], nu2 / 2.0 + win2[0],
+            win1[1].size, win2[1].size)
+
+
+def _f_cdf_series(table, win1, win2):
+    """The double series of doubly_noncentral_f_cdf on the table of
+    _table_key(x, nu1, nu2, win1, win2) and the Poisson windows
+    win1 = (jlo, wj) for lam1 / 2 and win2 = (klo, wk) for lam2 / 2."""
+    val = math.fsum(win1[1] * (table @ win2[1]))
     return min(max(val, 0.0), 1.0)
 
 
@@ -242,28 +252,58 @@ def doubly_noncentral_f_cdf(x, nu1, nu2, lam1, lam2):
 
     The ratio is taken raw: the F statistic (X1 / nu1) / (X2 / nu2) is
     at most f exactly when X1 / X2 is at most f nu1 / nu2. The two
-    degrees of freedom may differ; both must be even and positive."""
+    degrees of freedom may differ; both must be even and positive. x
+    must be finite and small enough that x / (1 + x) stays below 1 in
+    double precision (about 9e15)."""
     if x <= 0.0:
         raise ValueError("x must be positive")
+    if not x / (1.0 + x) < 1.0:
+        raise ValueError(f"x = {x!r} is not finite, or so large that "
+                         "x / (1 + x) rounds to 1")
     if nu1 < 2 or nu2 < 2 or nu1 % 2 or nu2 % 2:
         raise ValueError("degrees of freedom must be even and positive")
     if lam1 < 0.0 or lam2 < 0.0:
         raise ValueError("noncentralities must be non-negative")
-    return _f_cdf_series(x, nu1, nu2, _poisson_window(lam1 / 2.0),
-                         _poisson_window(lam2 / 2.0))
+    win1 = _poisson_window(lam1 / 2.0)
+    win2 = _poisson_window(lam2 / 2.0)
+    table = _reg_beta_table(*_table_key(x, nu1, nu2, win1, win2))
+    return _f_cdf_series(table, win1, win2)
 
 
-def exact_ber(p: DetectionParams):
+def exact_ber(p: DetectionParams, tables: dict | None = None):
     """Error probability of the correlation detector at threshold
-    xi = 1, averaged over two equally likely transmit hypotheses."""
+    xi = 1, averaged over two equally likely transmit hypotheses.
+
+    A table depends only on the Poisson window bounds, so consecutive
+    calls at nearby gains often need the same two. A caller that makes
+    such a run of calls may pass one dict as tables and keep it across
+    them: each call first drops every entry it does not need, then
+    takes its two tables from the dict or builds and stores them, so
+    the dict never holds more than two. Without tables, each table is
+    built, used and freed in turn. Either way the result has the same
+    bits.
+    """
     nu = p.m_sc * p.n_chips
     lam_on = nu * p.h_on_sq / p.noise_power
     lam_off = nu * p.h_off_sq / p.noise_power
     # each window serves both series, one as j-weights, one as k-weights
     win_on = _poisson_window(lam_on / 2.0)
     win_off = _poisson_window(lam_off / 2.0)
-    err0 = _f_cdf_series(1.0, nu, nu, win_on, win_off)
-    err1 = 1.0 - _f_cdf_series(1.0, nu, nu, win_off, win_on)
+    key0 = _table_key(1.0, nu, nu, win_on, win_off)
+    key1 = _table_key(1.0, nu, nu, win_off, win_on)
+    if tables is not None:
+        for key in [k for k in tables if k not in (key0, key1)]:
+            del tables[key]
+
+    def table(key):
+        if tables is None:
+            return _reg_beta_table(*key)
+        if key not in tables:
+            tables[key] = _reg_beta_table(*key)
+        return tables[key]
+
+    err0 = _f_cdf_series(table(key0), win_on, win_off)
+    err1 = 1.0 - _f_cdf_series(table(key1), win_off, win_on)
     return 0.5 * err0 + 0.5 * err1
 
 
@@ -333,8 +373,10 @@ def iota_magnitude_for_target(ber_target, gamma, m_sc, n_chips):
     precision."""
     if not 0.0 < ber_target <= 0.5:
         raise ValueError("ber_target must be in (0, 0.5]")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
+    if m_sc < 1 or n_chips < 1:
+        raise ValueError("m_sc and n_chips must be positive")
     if ber_target == 0.5:
         return 1.0
     z = q_inv(ber_target)

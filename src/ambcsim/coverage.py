@@ -121,9 +121,12 @@ def compute_ber_grid(sc: CoverageScenario) -> BerGrid:
 
     The gaussian engine is evaluated vectorized. The exact engine runs
     the series once per distinct u = |1+iota|^2 among the non-singular
-    cells and scatters the values back; a u whose series fails leaves
-    NaN in each of its cells and one (i, j, message) entry per cell in
-    errors, in row-major order, instead of aborting the map.
+    cells, in increasing order with one exact_ber table dict, so
+    neighbouring u that share Poisson windows reuse their tables (at
+    most two held), and scatters the values back; a u whose series
+    fails leaves NaN in each of its cells and one (i, j, message) entry
+    per cell in errors, in row-major order, instead of aborting the
+    map.
     """
     u, bad = _scatter_fields(sc)
     g = sc.gamma
@@ -142,10 +145,11 @@ def compute_ber_grid(sc: CoverageScenario) -> BerGrid:
         uniq, inv = np.unique(u[ok], return_inverse=True)
         vals = np.empty(uniq.size)
         msgs = {}
+        tables = {}
         for k, uv in enumerate(uniq.tolist()):
             p = _params_for_u(uv, g, sc.m_sc, sc.n_chips)
             try:
-                vals[k] = exact_ber(p)
+                vals[k] = exact_ber(p, tables)
             except SeriesError as exc:
                 msgs[k] = str(exc)
                 vals[k] = np.nan
@@ -168,7 +172,10 @@ def range_estimate(sc: CoverageScenario, ber_target: float) -> float:
     d_b = d_d + d_s, which minimizes |iota|): the circle is readable
     while (1 + |iota|)^2 >= |1+iota|^2 required for the target. The
     envelope magnitude is monotone in d_s, so bisection refines the
-    crossing. Unreachable targets return NaN with a warning.
+    crossing. The exact engine first refines u itself by bisection, its
+    steps sharing one exact_ber table dict: late steps lie close
+    together and reuse their tables. Unreachable targets return NaN
+    with a warning.
     """
     if not 0.0 < ber_target < 0.5:
         raise ValueError("ber_target must be in (0, 0.5)")
@@ -176,9 +183,11 @@ def range_estimate(sc: CoverageScenario, ber_target: float) -> float:
                                        sc.n_chips)
     if sc.engine == "exact":
         # exact BER falls with u > 1; seeded from the gaussian inverse
+        tables = {}
         u_star = _decreasing_root(
             lambda u: exact_ber(_params_for_u(u, sc.gamma, sc.m_sc,
-                                              sc.n_chips)) - ber_target,
+                                              sc.n_chips), tables)
+            - ber_target,
             1.0 + 1e-12, max(u_star, 1.0 + 1e-9), 1e-9)
     c = math.sqrt(u_star) - 1.0
     lam = sc.wavelength

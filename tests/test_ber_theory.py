@@ -80,6 +80,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             doubly_noncentral_f_cdf(1.0, 4, 4, -1.0, 1.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, 1e17, 1e300])
+    def test_f_cdf_rejects_x_whose_beta_argument_is_one(self, x):
+        # NaN and inf gave NaN; from about 9e15 x / (1 + x) rounds to 1
+        # and log1p(-1) raised a bare math domain error
+        with pytest.raises(ValueError,
+                           match=r"x / \(1 \+ x\) rounds to 1"):
+            doubly_noncentral_f_cdf(x, 4, 4, 1.0, 1.0)
+
     def test_window_overflow_raises(self):
         # the Poisson window at mean 1e7 is wider than 20000 indices
         with pytest.raises(SeriesError, match="20000 indices"):
@@ -235,6 +243,8 @@ class TestRegBetaTable:
         (0.5, 7000.0, 7100.0, 1795, 1743),
         # x != 1/2 across several blocks
         (0.45, 900.0, 1100.0, 150, 3 * _BLOCK + 7),
+        # column 0 and the blocks after it go below 0 before the clip
+        (0.5, 300.0, 280.0, 400, _BLOCK + 2),
     ] + [
         # k-steps (nk - 1) on either side of one and two block lengths
         (0.5, a0, b0, nj, steps + 1)
@@ -249,6 +259,17 @@ class TestRegBetaTable:
         assert got.shape == (nj, nk)
         assert got.flags.c_contiguous
         assert np.array_equal(got, ref)
+
+    def test_bit_cases_move_under_both_clips(self, monkeypatch):
+        # the j-major reference with its clip made the identity: the
+        # bit test's cases must go past 1, and below 0 both in column 0
+        # and in the k-step blocks, or it checks a clip on no entry
+        monkeypatch.setattr(np, "clip", lambda a, lo, hi: a)
+        over = _reg_beta_table_j_major(0.5, 5000.0, 5200.0, 1102, 1102)
+        under = _reg_beta_table_j_major(0.5, 300.0, 280.0, 400, _BLOCK + 2)
+        assert (over > 1.0).any()
+        assert (under[:, 0] < 0.0).any()
+        assert (under[:, 1:] < 0.0).any()
 
     def test_peak_memory_is_about_the_table(self):
         # the k-steps go through one block of scratch, not a second
@@ -365,6 +386,40 @@ class TestExactBer:
             assert abs(g - e) / e < 0.1
 
 
+def _dense_u_sweep():
+    """Sorted u = |1+iota|^2 on both sides of 1, spaced so that at
+    10 dB, m_sc 288 and N 4 neighbours mostly share Poisson windows."""
+    step = 2e-5
+    return np.concatenate((0.999 + step * np.arange(8),
+                           1.001 + step * np.arange(8))).tolist()
+
+
+class TestTableMemo:
+    def test_shared_dict_keeps_the_bits(self):
+        tables = {}
+        for u in _dense_u_sweep():
+            p = _params_for_u(u, 10.0, 288, 4)
+            assert exact_ber(p, tables) == exact_ber(p)
+            assert len(tables) <= 2
+
+    def test_sweep_reuses_tables(self, monkeypatch):
+        builds = []
+        build = ber_theory._reg_beta_table
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(ber_theory, "_reg_beta_table", counted)
+        us = _dense_u_sweep()
+        tables = {}
+        for u in us:
+            exact_ber(_params_for_u(u, 10.0, 288, 4), tables)
+        assert len(builds) < 2 * len(us)
+        # a sorted sweep never returns to a window it left
+        assert len(set(builds)) == len(builds)
+
+
 class TestAsymptotics:
     def test_gaussian_ber_is_q_of_bit_snr(self):
         ch = ChannelSet(h_d=1.0, h_s=0.2, h_b=1.0, noise_power=0.3)
@@ -463,6 +518,16 @@ class TestIotaTarget:
             iota_magnitude_for_target(0.6, 10.0, 288, 4)
         with pytest.raises(ValueError):
             iota_magnitude_for_target(0.1, -1.0, 288, 4)
+
+    @pytest.mark.parametrize("gamma, m_sc, n_chips", [
+        (math.nan, 288, 4), (math.inf, 288, 4), (10.0, 0, 4),
+        (10.0, 288, 0)])
+    def test_rejects_what_ber_vs_iota_rejects(self, gamma, m_sc, n_chips):
+        # NaN and inf gamma gave NaN, m_sc = 0 a ZeroDivisionError
+        with pytest.raises(ValueError):
+            iota_magnitude_for_target(0.1, gamma, m_sc, n_chips)
+        with pytest.raises(ValueError):
+            ber_vs_iota(0.1, gamma, m_sc, n_chips, engine="gaussian")
 
 
 class TestSchemeMapping:

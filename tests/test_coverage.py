@@ -1,11 +1,13 @@
 """BER maps, contour extraction, and reliable-range estimation."""
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from ambcsim import ber_theory, coverage
 from ambcsim.ber_theory import (DetectionParams, SeriesError, ber_vs_iota,
                                 exact_ber)
 from ambcsim.channel import LinkGeometry, scatter_ratio
@@ -205,6 +207,36 @@ class TestExactGridDedup:
         cells = [(i, j) for i, j, _ in out.errors]
         assert cells == sorted(set(cells))
         assert np.array_equal(out.ber, ref, equal_nan=True)
+
+
+class TestExactTableReuse:
+    """The exact map and the exact range bisection each pass one table
+    dict through their exact_ber calls."""
+
+    def test_range_bisection_matches_one_without_tables(self, monkeypatch):
+        sc = default_scenario(engine="exact")
+        got = range_estimate(sc, 1e-2)
+        monkeypatch.setattr(coverage, "exact_ber",
+                            lambda p, tables=None: ber_theory.exact_ber(p))
+        assert range_estimate(sc, 1e-2) == got
+
+    def test_map_peak_memory_is_about_two_tables(self, monkeypatch):
+        sizes = []
+        build = ber_theory._reg_beta_table
+
+        def measured(*args):
+            table = build(*args)
+            sizes.append(table.nbytes)
+            return table
+
+        monkeypatch.setattr(ber_theory, "_reg_beta_table", measured)
+        tracemalloc.start()
+        try:
+            compute_ber_grid(default_scenario(engine="exact", resolution=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * max(sizes)
 
 
 class TestContours:
