@@ -292,6 +292,11 @@ def exact_ber(p: DetectionParams, tables: dict | None = None):
     key0 = _table_key(1.0, nu, nu, win_on, win_off)
     key1 = _table_key(1.0, nu, nu, win_off, win_on)
     if tables is not None:
+        # Stale tables go before any build, so a new table can take the
+        # pages they free. Allocation order is what matters here: an
+        # evict-on-miss cache built the same tables with the same
+        # tracemalloc peak, yet raised the peak RSS of an exact 16x16
+        # coverage map from 77 to 86 MB.
         for key in [k for k in tables if k not in (key0, key1)]:
             del tables[key]
 
@@ -381,8 +386,12 @@ def iota_magnitude_for_target(ber_target, gamma, m_sc, n_chips):
         return 1.0
     z = q_inv(ber_target)
     nm = float(n_chips * m_sc)
-    return 1.0 + (2.0 * z * z
-                  + 2.0 * z * math.sqrt(z * z + nm * (2.0 * gamma + 1.0))) \
+    spread = nm * (2.0 * gamma + 1.0)
+    if not math.isfinite(spread):
+        # nm * gamma is above 8.9e307: the excess over 1 is below 1e-150;
+        # the formula would give inf or inf/inf
+        return 1.0
+    return 1.0 + (2.0 * z * z + 2.0 * z * math.sqrt(z * z + spread)) \
         / (nm * gamma)
 
 

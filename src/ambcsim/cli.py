@@ -8,6 +8,10 @@ configuration, seed, version, timestamps, output hashes, and the
 environment (Python, numpy and scipy versions, platform, CPU count,
 OPENBLAS_NUM_THREADS).
 
+Each cmd_* computes and returns its tables, a dict from CSV file name
+to (header, rows); main alone writes them, then the manifest, so a
+subcommand that raises writes nothing.
+
 CSV files use a single header row, '.' decimal separator, UTF-8, LF
 line endings, and 9-significant-digit floats, so identical seed and
 config reproduce identical bytes.
@@ -69,11 +73,11 @@ def write_csv(path, header, rows):
         f.writelines(fmt % row for row in rows)
 
 
-def _write_records(path, cls, records):
-    """CSV of dataclass records of type cls: one column per field, in
-    field order, so an empty list still writes the header."""
+def _records(cls, records):
+    """(header, rows) of dataclass records of type cls: one column per
+    field, in field order, so an empty list still has its header."""
     names = [f.name for f in dataclasses.fields(cls)]
-    write_csv(path, names, map(operator.attrgetter(*names), records))
+    return names, map(operator.attrgetter(*names), records)
 
 
 def finite(text: str) -> float:
@@ -168,8 +172,7 @@ def _apply_config(sub: argparse.ArgumentParser, cfg: dict):
         if key not in known:
             raise ValueError(f"unknown config key: {key}")
         action = known[key]
-        if isinstance(action, (argparse._StoreTrueAction,
-                               argparse._StoreFalseAction)):
+        if isinstance(action, argparse._StoreTrueAction):
             if raw.lower() not in _BOOLEANS:
                 raise ValueError(f"bad boolean value for {key}: {raw}")
             defaults[key] = _BOOLEANS[raw.lower()]
@@ -206,7 +209,6 @@ def build_parser():
         description="Backscatter-on-cellular link simulator")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    subparsers = {}
 
     t = subs.add_parser("theory", help="exact/asymptotic BER curves")
     _add_common(t)
@@ -215,7 +217,6 @@ def build_parser():
                    help="LTE SNR grid in dB, start:step:stop or list")
     t.add_argument("--iota", type=parse_complex, default=None,
                    help="override the path gains with a fixed scatter ratio")
-    subparsers["theory"] = t
 
     s = subs.add_parser("simulate", help="Monte Carlo BER sweep")
     _add_common(s)
@@ -231,7 +232,6 @@ def build_parser():
     s.add_argument("--per-re", action="store_true",
                    help="synthesize every subcarrier instead of sampling "
                         "the energy law directly")
-    subparsers["simulate"] = s
 
     c = subs.add_parser("compare", help="detector comparison on common "
                                         "random numbers")
@@ -243,7 +243,6 @@ def build_parser():
                    default=("Correlation", "SquareRoot", "Power"))
     c.add_argument("--y-model", type=str, default="chi2",
                    choices=("chi2", "gaussian"))
-    subparsers["compare"] = c
 
     v = subs.add_parser("coverage", help="BER map over BD positions")
     _add_common(v)
@@ -259,7 +258,6 @@ def build_parser():
     v.add_argument("--range-targets", type=parse_levels, default=(0.01,))
     v.add_argument("--msc", type=int, default=288)
     v.add_argument("--n", type=int, default=4)
-    subparsers["coverage"] = v
 
     r = subs.add_parser("replicate", help="framed FSK measurement pipeline")
     _add_common(r)
@@ -268,9 +266,8 @@ def build_parser():
                    help="per-bit SNR grid in dB")
     r.add_argument("--symbols", type=int, default=9999,
                    help="symbols per SNR point; 101 per frame")
-    subparsers["replicate"] = r
 
-    return parser, subparsers
+    return parser, subs.choices
 
 
 def _sha256(path):
@@ -295,7 +292,7 @@ def _environment():
     }
 
 
-def _manifest(args, outputs, started, out_dir):
+def _manifest(args, outputs, started):
     doc = {
         "subcommand": args.subcommand,
         "config": {k: v for k, v in vars(args).items() if k != "config"},
@@ -307,7 +304,7 @@ def _manifest(args, outputs, started, out_dir):
                     for p in outputs],
         "environment": _environment(),
     }
-    path = os.path.join(out_dir, "run_manifest.json")
+    path = os.path.join(args.out_dir, "run_manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         # tuples dump as arrays; str gives complex values their text
         json.dump(doc, f, indent=2, sort_keys=True, default=str)
@@ -326,7 +323,7 @@ def _sweep_config_from_args(args, n_symbols, detectors, scheme):
                              getattr(args, "off_depth", 0.0)))
 
 
-def cmd_theory(args, out_dir):
+def cmd_theory(args):
     rows = []
     cfg = _sweep_config_from_args(args, 10000, ("Correlation",), "BPSK")
     for gdb in args.gamma:
@@ -342,41 +339,34 @@ def cmd_theory(args, out_dir):
             pe, pg, gamma_b = te.ber, tg.ber, 10.0 ** (te.gamma_b_db / 10.0)
         gb_db = 10.0 * math.log10(gamma_b) if gamma_b > 0.0 else float("-inf")
         rows.append((float(gdb), gb_db, pe, pg, fsk_coherent_ber(gamma_b)))
-    path = os.path.join(out_dir, "theory.csv")
-    write_csv(path, ("gamma_db", "gamma_b_db", "ber_exact", "ber_gaussian",
-                     "ber_fsk"), rows)
-    return [path], 0
+    header = ("gamma_db", "gamma_b_db", "ber_exact", "ber_gaussian", "ber_fsk")
+    return {"theory.csv": (header, rows)}, 0
 
 
-def cmd_simulate(args, out_dir):
+def cmd_simulate(args):
     cfg = _sweep_config_from_args(args, args.symbols, tuple(args.detectors),
                                   args.scheme)
     points = run_ber_sweep(cfg, threads=args.threads)
-    path = os.path.join(out_dir, "simulate.csv")
-    _write_records(path, BerPoint, points)
-    return [path], 0
+    return {"simulate.csv": _records(BerPoint, points)}, 0
 
 
-def cmd_compare(args, out_dir):
+def cmd_compare(args):
     cfg = _sweep_config_from_args(args, args.realizations,
                                   tuple(args.detectors), "BPSK")
     points, disagreements = compare_receivers(cfg, y_model=args.y_model,
                                               threads=args.threads)
-    p1 = os.path.join(out_dir, "compare.csv")
-    _write_records(p1, BerPoint, points)
-    p2 = os.path.join(out_dir, "disagreement.csv")
-    _write_records(p2, DisagreementCount, disagreements)
-    return [p1, p2], 0
+    return {"compare.csv": _records(BerPoint, points),
+            "disagreement.csv": _records(DisagreementCount,
+                                         disagreements)}, 0
 
 
-def cmd_coverage(args, out_dir):
+def cmd_coverage(args):
     sc = CoverageScenario(
         bs_pos=tuple(args.bs), ue_pos=tuple(args.ue),
         carrier_freq_hz=args.freq_mhz * 1e6,
         gamma=from_db(args.gamma_db), m_sc=args.msc, n_chips=args.n,
         half_span=args.half_span, resolution=args.resolution,
         engine=args.engine)
-    # levels and targets are all checked before any file is written
     grid = compute_ber_grid(sc)
     lines = contour_export(grid, tuple(args.levels))
     lam = sc.wavelength
@@ -385,31 +375,29 @@ def cmd_coverage(args, out_dir):
         radius = range_estimate(sc, float(target))
         rrows.append((target, radius, lam, radius / lam))
     x, y = grid.x_axis, grid.y_axis
-    p1 = os.path.join(out_dir, "coverage_grid.csv")
-    write_csv(p1, ("x", "y", "ber"),
-              zip(np.tile(x, y.size).tolist(), np.repeat(y, x.size).tolist(),
-                  grid.ber.ravel().tolist()))
-    p2 = os.path.join(out_dir, "contours.csv")
-    write_csv(p2, ("level", "line_id", "vertex_id", "x", "y"),
-              ((line.level, li, vi, xv, yv)
-               for li, line in enumerate(lines)
-               for vi, (xv, yv) in enumerate(line.points.tolist())))
-    p3 = os.path.join(out_dir, "range.csv")
-    write_csv(p3, ("ber_target", "radius_m", "wavelength_m",
-                   "radius_wavelengths"), rrows)
-    return [p1, p2, p3], 1 if grid.errors else 0
+    return {
+        "coverage_grid.csv": (
+            ("x", "y", "ber"),
+            zip(np.tile(x, y.size).tolist(), np.repeat(y, x.size).tolist(),
+                grid.ber.ravel().tolist())),
+        "contours.csv": (
+            ("level", "line_id", "vertex_id", "x", "y"),
+            ((line.level, li, vi, xv, yv)
+             for li, line in enumerate(lines)
+             for vi, (xv, yv) in enumerate(line.points.tolist()))),
+        "range.csv": (
+            ("ber_target", "radius_m", "wavelength_m", "radius_wavelengths"),
+            rrows),
+    }, 1 if grid.errors else 0
 
 
-def cmd_replicate(args, out_dir):
+def cmd_replicate(args):
     cfg = measurement_config(tuple(args.gamma_b),
                              n_symbols_per_point=args.symbols,
                              seed=args.seed)
     points, packets = replicate_measurement(cfg, threads=args.threads)
-    p1 = os.path.join(out_dir, "replicate.csv")
-    _write_records(p1, BerPoint, points)
-    p2 = os.path.join(out_dir, "packets.csv")
-    _write_records(p2, PacketRecord, packets)
-    return [p1, p2], 0
+    return {"replicate.csv": _records(BerPoint, points),
+            "packets.csv": _records(PacketRecord, packets)}, 0
 
 
 _COMMANDS = {
@@ -433,17 +421,23 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(str(exc))
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     try:
-        outputs, status = _COMMANDS[args.subcommand](args, out_dir)
+        tables, status = _COMMANDS[args.subcommand](args)
     except SeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # a flag value outside the library's domain
         parser.error(str(exc))
-    _manifest(args, outputs, started, out_dir)
+    outputs = []
+    for name in list(tables):
+        # popped, so a written table's rows are freed before the next
+        # table is formatted
+        header, rows = tables.pop(name)
+        outputs.append(os.path.join(args.out_dir, name))
+        write_csv(outputs[-1], header, rows)
+    _manifest(args, outputs, started)
     return status
 
 

@@ -149,12 +149,9 @@ def frame_sync(chip_llrs, alphabet: SymbolAlphabet):
         raise ValueError("stream shorter than one frame")
     if not np.all(np.isfinite(x)):
         raise ValueError("soft chips must be finite")
-    if alphabet.scheme == "DBPSK":
-        states = np.cumsum(SYNC_BITS) % 2
-    else:
-        states = SYNC_BITS
-    table = np.stack([alphabet.s0, alphabet.s1]).astype(float)
-    tmpl = ((table[states] - table[1 - states]) / 2.0).reshape(-1)
+    # the sent waveform less the two states' mean: exact halves of +-1
+    tmpl = encode_bits(alphabet, SYNC_BITS) - np.tile(
+        (alphabet.s0 + alphabet.s1) / 2.0, SYNC_BITS.size)
     lt = tmpl.size
     n_off = x.size - frame_len + 1
     head = x[:n_off + lt - 1]

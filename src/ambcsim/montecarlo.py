@@ -384,8 +384,8 @@ def replicate_measurement(cfg: SweepConfig, threads: int = 1):
 
     cfg.snr_grid_db is the per-bit SNR grid in dB; bit errors aggregate
     into 0.25 dB gamma_b bins. Frames whose synchronizer misses the
-    true start are logged and counted but contribute no bits to the
-    bins. Returns (BerPoint rows incl. the coherent-FSK theory overlay,
+    true start are logged with sync_ok false but contribute no bits to
+    the bins. Returns (BerPoint rows incl. the coherent-FSK theory overlay,
     packet log). With threads > 1 the SNR points run in that many
     worker processes and merge in point order, so the output does not
     depend on threads.
@@ -398,14 +398,12 @@ def replicate_measurement(cfg: SweepConfig, threads: int = 1):
            for rec in point_log]
     bins = {}
     for rec in log:
-        tally = bins.setdefault(round(rec.gamma_b_db / 0.25) * 0.25,
-                                [0, 0, 0])
+        tally = bins.setdefault(round(rec.gamma_b_db / 0.25) * 0.25, [0, 0])
         tally[0] += rec.n_errors
         tally[1] += rec.n_bits
-        tally[2] += not rec.sync_ok
     points = []
     for key in sorted(bins):
-        k, nb, n_lost = bins[key]
+        k, nb = bins[key]
         theory = fsk_coherent_ber(from_db(key))
         points.append(BerPoint(
             gamma_db=float("nan"), gamma_b_db=float(key), ber=theory,

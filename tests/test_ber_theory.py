@@ -28,7 +28,7 @@ from ambcsim.ber_theory import (
     params_for_scheme,
 )
 from ambcsim.channel import ChannelSet, from_db, snr_per_bit
-from ambcsim.specfun import q_func
+from ambcsim.specfun import q_func, q_inv
 from oracles import (EXACT_BER_SMALL, EXACT_BER_SWEEP, F_CDF_8_16_4,
                      REG_BETA_HALF_576_577)
 
@@ -528,6 +528,27 @@ class TestIotaTarget:
             iota_magnitude_for_target(0.1, gamma, m_sc, n_chips)
         with pytest.raises(ValueError):
             ber_vs_iota(0.1, gamma, m_sc, n_chips, engine="gaussian")
+
+    @pytest.mark.parametrize("m_sc, n_chips", [(288, 4), (1, 2)])
+    @pytest.mark.parametrize("gamma", [7.9e304, 1e306, 1e308])
+    def test_huge_gamma_needs_no_motion(self, gamma, m_sc, n_chips):
+        # nm * (2 gamma + 1) overflows there: the bare formula gave +inf
+        # at 7.9e304 and NaN at 1e306 and 1e308 (m_sc 288, N 4)
+        assert iota_magnitude_for_target(0.1, gamma, m_sc, n_chips) == 1.0
+
+    def test_finite_inputs_keep_the_formula_bits(self):
+        def formula(target, gamma, m_sc, n_chips):
+            z = q_inv(target)
+            nm = float(n_chips * m_sc)
+            return 1.0 + (2.0 * z * z + 2.0 * z * math.sqrt(
+                z * z + nm * (2.0 * gamma + 1.0))) / (nm * gamma)
+
+        for target in (0.4, 0.1, 1e-2, 1e-6, 1e-300):
+            for gamma in (1e-300, 1e-6, 0.5, 10.0, 1e6, 1e300, 7.7e304):
+                for m_sc, n_chips in ((1, 2), (12, 2), (288, 4)):
+                    assert iota_magnitude_for_target(
+                        target, gamma, m_sc, n_chips) == formula(
+                        target, gamma, m_sc, n_chips)
 
 
 class TestSchemeMapping:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ambcsim.cli import (
+    _COMMANDS,
     _sweep_config_from_args,
     build_parser,
     load_config,
@@ -251,11 +252,49 @@ class TestTheoryCommand:
                 digits = cell.replace("-", "").replace(".", "")
                 assert len(digits.lstrip("0")) <= 9
 
+    def test_series_error_writes_nothing(self, tmp_path, capsys):
+        # at 60 dB the Poisson window needs more than 20000 indices
+        rc = main(["theory", "--gamma", "60", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "Poisson window" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AMBCSIM_OUT_DIR", str(tmp_path / "envout"))
         rc = main(["theory", "--gamma", "3"])
         assert rc == 0
         assert (tmp_path / "envout" / "theory.csv").exists()
+
+
+class TestCommandsReturnTables:
+    """Each cmd_* computes and returns its tables; main alone writes
+    them, in the order given, and lists them so in the manifest."""
+
+    @pytest.mark.parametrize("argv, names", [
+        (["theory", "--gamma", "5"], ["theory.csv"]),
+        (["simulate", "--gamma", "6", "--symbols", "200"],
+         ["simulate.csv"]),
+        (["compare", "--gamma", "5", "--realizations", "200"],
+         ["compare.csv", "disagreement.csv"]),
+        (["coverage", "--resolution", "6", "--half-span", "0.5"],
+         ["coverage_grid.csv", "contours.csv", "range.csv"]),
+        (["replicate", "--gamma-b", "8", "--symbols", "101"],
+         ["replicate.csv", "packets.csv"]),
+    ], ids=["theory", "simulate", "compare", "coverage", "replicate"])
+    def test_tables_in_manifest_order(self, tmp_path, monkeypatch, argv,
+                                      names):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        args = build_parser()[0].parse_args(argv + ["--out-dir", str(out)])
+        tables, status = _COMMANDS[args.subcommand](args)
+        assert status == 0
+        assert list(tables) == names
+        assert list(tmp_path.iterdir()) == []
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        doc = json.loads((out / "run_manifest.json").read_text())
+        assert [o["path"] for o in doc["outputs"]] == names
+        for name, (header, _) in tables.items():
+            assert read_csv(out / name)[0] == list(header)
 
 
 class TestManifestEnvironment:
