@@ -36,14 +36,14 @@ import scipy  # for the manifest's version stamp; specfun holds the numerics
 from . import __version__
 from .ber_theory import (SeriesError, _params_for_u, exact_ber,
                          fsk_coherent_ber, gaussian_ber)
-from .channel import _gamma_b, from_db
+from .channel import _gamma_b, from_db, snr_per_bit, to_db
 from .coverage import (DEFAULT_LEVELS, CoverageScenario, compute_ber_grid,
                        contour_export, range_estimate)
 from .modem import DETECTOR_KINDS
 from .montecarlo import (BerPoint, DisagreementCount, PacketRecord,
-                         SweepConfig, compare_receivers, flat_channel,
-                         measurement_config, replicate_measurement,
-                         run_ber_sweep, theory_points)
+                         SweepConfig, channel_for_snr, compare_receivers,
+                         flat_channel, measurement_config,
+                         replicate_measurement, run_ber_sweep, theory_points)
 
 def _column_format(v) -> str:
     if isinstance(v, (int, np.integer)):  # bools too: True prints 1
@@ -336,9 +336,11 @@ def cmd_theory(args):
             pg = gaussian_ber(p)
         else:
             te, tg = theory_points(cfg, float(gdb))
-            pe, pg, gamma_b = te.ber, tg.ber, 10.0 ** (te.gamma_b_db / 10.0)
-        gb_db = 10.0 * math.log10(gamma_b) if gamma_b > 0.0 else float("-inf")
-        rows.append((float(gdb), gb_db, pe, pg, fsk_coherent_ber(gamma_b)))
+            pe, pg = te.ber, tg.ber
+            gamma_b = snr_per_bit(channel_for_snr(cfg, float(gdb)),
+                                  cfg.n_chips, cfg.m_sc)
+        rows.append((float(gdb), to_db(gamma_b), pe, pg,
+                     fsk_coherent_ber(gamma_b)))
     header = ("gamma_db", "gamma_b_db", "ber_exact", "ber_gaussian", "ber_fsk")
     return {"theory.csv": (header, rows)}, 0
 

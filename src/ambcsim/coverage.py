@@ -15,7 +15,7 @@ import numpy as np
 
 from .ber_theory import (SeriesError, _params_for_u, exact_ber,
                          iota_magnitude_for_target)
-from .channel import SPEED_OF_LIGHT, _scatter
+from .channel import _FOUR_PI, SPEED_OF_LIGHT, _scatter
 from .specfun import q_func
 
 DEFAULT_LEVELS = (0.4, 0.3, 0.2, 0.1, 0.05, 0.01)
@@ -135,9 +135,13 @@ def compute_ber_grid(sc: CoverageScenario) -> BerGrid:
     ber = np.full(u.shape, np.nan)
     if sc.engine == "gaussian":
         uo = u[ok]
-        num = nm * (g * (uo - 1.0)) ** 2
-        den = 4.0 * (1.0 + g * (uo + 1.0))
-        ber[ok] = q_func(np.sqrt(num / den))
+        # a huge gamma overflows num, then den too: inf/inf means +inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = nm * (g * (uo - 1.0)) ** 2
+            den = 4.0 * (1.0 + g * (uo + 1.0))
+            x = num / den
+        x[np.isnan(x)] = np.inf
+        ber[ok] = q_func(np.sqrt(x))
         errors = ()
     else:
         # BER depends on a cell only through u: one series per distinct
@@ -170,12 +174,18 @@ def range_estimate(sc: CoverageScenario, ber_target: float) -> float:
     fringe. The attainability criterion is therefore the fringe
     envelope at the worst bearing (BD diametrically opposite the BS,
     d_b = d_d + d_s, which minimizes |iota|): the circle is readable
-    while (1 + |iota|)^2 >= |1+iota|^2 required for the target. The
-    envelope magnitude is monotone in d_s, so bisection refines the
-    crossing. The exact engine first refines u itself by bisection, its
+    while (1 + |iota|)^2 >= u*, the |1+iota|^2 the target requires.
+    With c = sqrt(u*) - 1 the crossing (lam / 4 pi) d_d / (d_s (d_d +
+    d_s)) = c is the positive root of d_s^2 + d_d d_s - k = 0, k =
+    lam d_d / (4 pi c), taken without cancellation as
+    2 k / (d_d + hypot(d_d, 2 sqrt(k))), which holds where d_d^2
+    overflows. The exact engine first refines u* by bisection, its
     steps sharing one exact_ber table dict: late steps lie close
-    together and reuse their tables. Unreachable targets return NaN
-    with a warning.
+    together and reuse their tables.
+
+    c = 0 (every target met everywhere) returns inf. A radius not above
+    lam * 1e-9, deep in the near field, or a NaN u* returns NaN with
+    the warning "BER target unreachable for this geometry and SNR".
     """
     if not 0.0 < ber_target < 0.5:
         raise ValueError("ber_target must be in (0, 0.5)")
@@ -190,11 +200,16 @@ def range_estimate(sc: CoverageScenario, ber_target: float) -> float:
             - ber_target,
             1.0 + 1e-12, max(u_star, 1.0 + 1e-9), 1e-9)
     c = math.sqrt(u_star) - 1.0
+    if c == 0.0:
+        return math.inf
     lam = sc.wavelength
     d_d = sc.d_d
-    return _decreasing_root(
-        lambda d_s: _scatter(d_d, d_s, d_d + d_s, lam)[0] - c,
-        lam * 1e-9, lam, 1e-12)
+    k = lam * d_d / (_FOUR_PI * c)
+    r = 2.0 * k / (d_d + math.hypot(d_d, 2.0 * math.sqrt(k)))
+    if not r > lam * 1e-9:
+        warnings.warn("BER target unreachable for this geometry and SNR")
+        return float("nan")
+    return r
 
 
 _MAX_STEPS = 200

@@ -387,6 +387,19 @@ class TestCoverageCommand:
                    "--out-dir", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("gamma_db", ["3000", "3080"])
+    def test_huge_gamma_reads_everywhere(self, tmp_path, gamma_db):
+        # num, then den too, overflow in the gaussian grid; no warning,
+        # and the range is unbounded
+        rc = main(["coverage", "--gamma-db", gamma_db, "--resolution", "4",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        _, grid_rows = read_csv(tmp_path / "coverage_grid.csv")
+        ber = np.array([float(row["ber"]) for row in grid_rows])
+        assert np.isin(ber[~np.isnan(ber)], (0.0, 0.5)).all()
+        _, rrows = read_csv(tmp_path / "range.csv")
+        assert ",".join(rrows[0].values()) == "0.01,inf,0.383366315,inf"
+
 
 class TestReplicateCommand:
     def test_outputs_and_rerun_bytes(self, tmp_path):

@@ -1,5 +1,6 @@
 """BER maps, contour extraction, and reliable-range estimation."""
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from ambcsim import ber_theory, coverage
 from ambcsim.ber_theory import (DetectionParams, SeriesError, ber_vs_iota,
                                 exact_ber)
-from ambcsim.channel import LinkGeometry, scatter_ratio
+from ambcsim.channel import LinkGeometry, _scatter, scatter_ratio
 from ambcsim.coverage import (
     DEFAULT_LEVELS,
     BerGrid,
@@ -438,3 +439,60 @@ class TestRangeEstimate:
         r_g = range_estimate(default_scenario(), 1e-1)
         r_e = range_estimate(default_scenario(engine="exact"), 1e-1)
         assert r_e == pytest.approx(r_g, rel=0.05)
+
+    def test_closed_form_solves_the_envelope(self):
+        # the radius puts the worst-bearing envelope exactly on the
+        # |iota| = sqrt(u*) - 1 the target requires
+        for f, gamma, bs, target, m_sc, n in itertools.product(
+                (450e6, 782e6, 2560e6, 3500e6), (0.1, 1.0, 10.0, 100.0, 1e4),
+                ((50.0, 0.0), (10.0, 0.0), (600.0, 800.0)),
+                (1e-3, 1e-2, 0.1, 0.4), (12, 288), (2, 4)):
+            sc = default_scenario(bs_pos=bs, carrier_freq_hz=f, gamma=gamma,
+                                  m_sc=m_sc, n_chips=n)
+            c = math.sqrt(ber_theory.iota_magnitude_for_target(
+                target, gamma, m_sc, n)) - 1.0
+            r = range_estimate(sc, target)
+            got = _scatter(sc.d_d, r, sc.d_d + r, sc.wavelength)[0]
+            assert got == pytest.approx(c, rel=1e-14, abs=0.0)
+
+    def test_closed_form_matches_mpmath(self):
+        # the one case of a 17 640-scenario scan whose printed radius
+        # moved: the old bisection printed 0.275332535, 1.5e-13 off
+        mp = pytest.importorskip("mpmath")
+        sc = default_scenario(carrier_freq_hz=2560e6, gamma=100.0, m_sc=12)
+        c = math.sqrt(ber_theory.iota_magnitude_for_target(
+            0.05, 100.0, 12, 4)) - 1.0
+        with mp.workdps(40):
+            k = mp.mpf(sc.wavelength) * 50 / (4 * mp.pi * mp.mpf(c))
+            want = float(2 * k / (50 + mp.sqrt(2500 + 4 * k)))
+        assert want == pytest.approx(0.27533253449996388, rel=1e-16, abs=0.0)
+        assert range_estimate(sc, 0.05) == pytest.approx(want, rel=1e-15,
+                                                         abs=0.0)
+
+    def test_far_base_station(self):
+        # d_d^2 overflows beyond 1.3e154 m; the radius tends to
+        # lam / (4 pi c) as d_d grows
+        sc = default_scenario(bs_pos=(1e200, 0.0))
+        c = math.sqrt(ber_theory.iota_magnitude_for_target(
+            1e-2, 10.0, 288, 4)) - 1.0
+        assert range_estimate(sc, 1e-2) == pytest.approx(
+            sc.wavelength / (4.0 * math.pi * c), rel=1e-14, abs=0.0)
+
+    def test_gaussian_range_runs_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the gaussian range searched")
+
+        monkeypatch.setattr(coverage, "_decreasing_root", no_search)
+        assert range_estimate(default_scenario(), 1e-2) == pytest.approx(
+            RANGE_782_AT_1E2, rel=1e-5)
+
+    @pytest.mark.parametrize("gamma", [1e306, 1e308])
+    def test_unbounded_range_is_inf(self, gamma):
+        # u* = 1: every target is met everywhere, without a warning
+        assert range_estimate(default_scenario(gamma=gamma), 1e-2) == math.inf
+
+    def test_nan_requirement_warns_nan(self, monkeypatch):
+        monkeypatch.setattr(coverage, "iota_magnitude_for_target",
+                            lambda *args: math.nan)
+        with pytest.warns(UserWarning, match="unreachable"):
+            assert math.isnan(range_estimate(default_scenario(), 1e-2))
