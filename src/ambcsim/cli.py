@@ -29,6 +29,7 @@ import os
 import platform
 import sys
 import time
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 import scipy  # for the manifest's version stamp; specfun holds the numerics
@@ -45,11 +46,15 @@ from .montecarlo import (BerPoint, DisagreementCount, PacketRecord,
                          flat_channel, measurement_config,
                          replicate_measurement, run_ber_sweep, theory_points)
 
+_FLOAT = "%.9g"
+_CHUNK_ROWS = 1024
+
+
 def _column_format(v) -> str:
-    if isinstance(v, (int, np.integer)):  # bools too: True prints 1
+    if isinstance(v, (int, np.integer, np.bool_)):  # True prints 1
         return "%d"
     if isinstance(v, (float, np.floating)):
-        return "%.9g"
+        return _FLOAT
     return "%s"
 
 
@@ -59,8 +64,10 @@ def write_csv(path, header, rows):
     Each column's format comes from its cell in the first row: ints and
     bools (numpy ones too) print with %d, floats (numpy ones too) with
     %.9g, anything else with %s. A column must therefore hold one type
-    in every row; %d would silently truncate a float. rows may be any
-    iterable and is streamed, never held in memory.
+    in every row, and every row the first row's number of cells; %d
+    would silently truncate a float. rows may be any iterable of tuples
+    and is streamed, never held in memory: a chunk of rows at a time is
+    flattened and formatted with one %.
     """
     rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -69,15 +76,18 @@ def write_csv(path, header, rows):
         if first is None:
             return
         fmt = ",".join(map(_column_format, first)) + "\n"
-        f.write(fmt % first)
-        f.writelines(fmt % row for row in rows)
+        rows = chain((first,), rows)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            f.write((fmt * len(chunk)) % tuple(chain.from_iterable(chunk)))
 
 
 def _records(cls, records):
     """(header, rows) of dataclass records of type cls: one column per
     field, in field order, so an empty list still has its header."""
     names = [f.name for f in dataclasses.fields(cls)]
-    return names, map(operator.attrgetter(*names), records)
+    values = map(operator.attrgetter(*names), records)
+    # attrgetter of one name gives the bare value, not a 1-tuple
+    return names, values if len(names) > 1 else zip(values)
 
 
 def finite(text: str) -> float:
@@ -376,21 +386,31 @@ def cmd_coverage(args):
     for target in args.range_targets:
         radius = range_estimate(sc, float(target))
         rrows.append((target, radius, lam, radius / lam))
-    x, y = grid.x_axis, grid.y_axis
     return {
-        "coverage_grid.csv": (
-            ("x", "y", "ber"),
-            zip(np.tile(x, y.size).tolist(), np.repeat(y, x.size).tolist(),
-                grid.ber.ravel().tolist())),
-        "contours.csv": (
-            ("level", "line_id", "vertex_id", "x", "y"),
-            ((line.level, li, vi, xv, yv)
-             for li, line in enumerate(lines)
-             for vi, (xv, yv) in enumerate(line.points.tolist()))),
+        "coverage_grid.csv": (("x", "y", "ber"), _grid_rows(grid)),
+        "contours.csv": (("level", "line_id", "vertex_id", "x", "y"),
+                         _contour_rows(lines)),
         "range.csv": (
             ("ber_target", "radius_m", "wavelength_m", "radius_wavelengths"),
             rrows),
     }, 1 if grid.errors else 0
+
+
+def _grid_rows(grid):
+    """(x, y, ber) per cell, x fastest; each axis value is formatted
+    once and one grid row of ber is a Python list at a time."""
+    xs = [_FLOAT % x for x in grid.x_axis.tolist()]
+    for y, ber in zip(grid.y_axis.tolist(), grid.ber):
+        yield from zip(xs, repeat(_FLOAT % y), ber.tolist())
+
+
+def _contour_rows(lines):
+    """(level, line_id, vertex_id, x, y) per vertex; each distinct level
+    is formatted once."""
+    levels = {lv: _FLOAT % lv for lv in {line.level for line in lines}}
+    for li, line in enumerate(lines):
+        yield from zip(repeat(levels[line.level]), repeat(li), count(),
+                       *line.points.T.tolist())
 
 
 def cmd_replicate(args):

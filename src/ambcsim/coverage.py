@@ -343,7 +343,9 @@ def _stitch(segs, first):
     nb = np.full((first.size, 2), -1)
     nb[flat, (np.arange(flat.size) != first[flat]).astype(np.intp)] = \
         segs[:, ::-1].ravel()
-    n0, n1 = nb[:, 0].tolist(), nb[:, 1].tolist()
+    # the neighbour of b other than a is nx[b] ^ a: -1 past an end, and
+    # an end's one neighbour is nx ^ -1
+    nx = (nb[:, 0] ^ nb[:, 1]).tolist()
     seen = [False] * first.size
 
     def walk(a, b):
@@ -352,13 +354,13 @@ def _stitch(segs, first):
         while b >= 0 and not seen[b]:
             path.append(b)
             seen[b] = True
-            a, b = b, (n1[b] if n0[b] == a else n0[b])
+            a, b = b, nx[b] ^ a
         if b >= 0:
             path.append(b)  # a loop, back at its start
         return path
 
     ends = np.flatnonzero(nb[:, 1] < 0)
-    paths = [walk(s, n0[s]) for s in ends[np.argsort(first[ends])].tolist()
-             if not seen[s]]
+    paths = [walk(s, nx[s] ^ -1)
+             for s in ends[np.argsort(first[ends])].tolist() if not seen[s]]
     paths += [walk(a, b) for a, b in segs.tolist() if not seen[a]]
     return paths

@@ -1,15 +1,20 @@
 """Command-line interface: parsing, config files, CSV outputs, manifest."""
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ambcsim import cli
 from ambcsim.cli import (
+    _CHUNK_ROWS,
     _COMMANDS,
+    _records,
     _sweep_config_from_args,
     build_parser,
     load_config,
@@ -21,6 +26,7 @@ from ambcsim.cli import (
     parse_pair,
     write_csv,
 )
+from ambcsim.coverage import CoverageScenario
 from ambcsim.montecarlo import flat_channel
 from oracles import EXACT_BER_SWEEP
 
@@ -194,23 +200,49 @@ class TestCsvWriter:
     def test_column_formats(self, tmp_path):
         rows = [
             (True, 7, np.int64(-3), 0.1, np.float64(2.0 / 3.0),
-             float("nan"), float("inf"), -0.0, 1e-300, "Power"),
+             float("nan"), float("inf"), -0.0, 1e-300, "Power", np.True_),
             (False, -12345678901, np.int64(0), 123456789.5,
              np.float64(-1e21), float("-inf"), 5e-324, 0.0, -1e-300,
-             "theory_exact"),
+             "theory_exact", np.False_),
         ]
         path = tmp_path / "t.csv"
-        write_csv(path, [f"c{k}" for k in range(10)], iter(rows))
+        write_csv(path, [f"c{k}" for k in range(11)], iter(rows))
         assert path.read_bytes() == (
-            b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9\n"
-            b"1,7,-3,0.1,0.666666667,nan,inf,-0,1e-300,Power\n"
+            b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10\n"
+            b"1,7,-3,0.1,0.666666667,nan,inf,-0,1e-300,Power,1\n"
             b"0,-12345678901,0,123456790,-1e+21,-inf,4.94065646e-324,0,"
-            b"-1e-300,theory_exact\n")
+            b"-1e-300,theory_exact,0\n")
 
     def test_no_rows_writes_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ("a", "b"), iter(()))
         assert path.read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                   _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+    def test_chunk_boundaries_match_per_row_format(self, tmp_path, n):
+        specials = (float("nan"), float("inf"), float("-inf"), -0.0)
+        rows = [(f"r{k}", k - 5000, k % 3 == 0, k / 7.0,
+                 specials[k % 4], np.float64(k) * 1e-300)
+                for k in range(n)]
+        path = tmp_path / "t.csv"
+        write_csv(path, ("s", "i", "b", "f", "special", "tiny"), iter(rows))
+        fmt = "%s,%d,%d,%.9g,%.9g,%.9g\n"
+        assert path.read_bytes() == (
+            "s,i,b,f,special,tiny\n"
+            + "".join(fmt % row for row in rows)).encode()
+
+    def test_one_field_records_are_tuples(self, tmp_path):
+        @dataclasses.dataclass
+        class One:
+            n: int
+
+        header, rows = _records(One, [One(3), One(-4)])
+        rows = list(rows)
+        assert (header, rows) == (["n"], [(3,), (-4,)])
+        path = tmp_path / "t.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == b"n\n3\n-4\n"
 
 
 class TestTheoryCommand:
@@ -380,6 +412,28 @@ class TestCoverageCommand:
         for name in ("coverage_grid.csv", "contours.csv", "range.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_tables_hold_no_per_cell_objects(self, tmp_path, monkeypatch):
+        # the grid and its contours are computed before tracing starts;
+        # building and writing the tables from them is what is measured
+        parser, _ = build_parser()
+        args = parser.parse_args(["coverage", "--resolution", "400"])
+        grid = cli.compute_ber_grid(CoverageScenario(
+            bs_pos=(50.0, 0.0), ue_pos=(0.0, 0.0), carrier_freq_hz=782e6,
+            gamma=10.0, resolution=400))
+        lines = cli.contour_export(grid, args.levels)
+        monkeypatch.setattr(cli, "compute_ber_grid", lambda sc: grid)
+        monkeypatch.setattr(cli, "contour_export", lambda g, lv: lines)
+        tracemalloc.start()
+        try:
+            tables, _ = cli.cmd_coverage(args)
+            for name in list(tables):
+                header, rows = tables.pop(name)
+                write_csv(tmp_path / name, header, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid.ber.nbytes
 
     def test_series_failure_exit_code(self, tmp_path):
         rc = main(["coverage", "--engine", "exact", "--gamma-db", "90",
