@@ -9,7 +9,7 @@ environment (Python, numpy and scipy versions, platform, CPU count,
 OPENBLAS_NUM_THREADS).
 
 Each cmd_* computes and returns its tables, a dict from CSV file name
-to (header, rows); main alone writes them, then the manifest, so a
+to (header, blocks); main alone writes them, then the manifest, so a
 subcommand that raises writes nothing.
 
 CSV files use a single header row, '.' decimal separator, UTF-8, LF
@@ -24,12 +24,10 @@ import dataclasses
 import hashlib
 import json
 import math
-import operator
 import os
 import platform
 import sys
 import time
-from itertools import chain, count, islice, repeat
 
 import numpy as np
 import scipy  # for the manifest's version stamp; specfun holds the numerics
@@ -47,7 +45,6 @@ from .montecarlo import (BerPoint, DisagreementCount, PacketRecord,
                          replicate_measurement, run_ber_sweep, theory_points)
 
 _FLOAT = "%.9g"
-_CHUNK_ROWS = 1024
 
 
 def _column_format(v) -> str:
@@ -58,36 +55,48 @@ def _column_format(v) -> str:
     return "%s"
 
 
-def write_csv(path, header, rows):
-    """Write a header line and one line per row tuple.
+def write_csv(path, header, blocks):
+    """Write a header line and the rows of each block; return the
+    SHA-256 hex digest of the bytes written.
 
-    Each column's format comes from its cell in the first row: ints and
-    bools (numpy ones too) print with %d, floats (numpy ones too) with
-    %.9g, anything else with %s. A column must therefore hold one type
-    in every row, and every row the first row's number of cells; %d
-    would silently truncate a float. rows may be any iterable of tuples
-    and is streamed, never held in memory: a chunk of rows at a time is
-    flattened and formatted with one %.
+    A block is a tuple of equal-length column sequences, one row per
+    index; a column of another length raises ValueError. Each column's
+    format comes from its cell in the first row: ints and bools (numpy
+    ones too) print with %d, floats (numpy ones too) with %.9g,
+    anything else with %s. A column must therefore hold one type in
+    every row, and every block the first row's number of columns; %d
+    would silently truncate a float. blocks may be any iterable and is
+    streamed: one block at a time is interleaved into a flat list and
+    formatted with one %.
     """
-    rows = iter(rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        first = next(rows, None)
-        if first is None:
-            return
-        fmt = ",".join(map(_column_format, first)) + "\n"
-        rows = chain((first,), rows)
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            f.write((fmt * len(chunk)) % tuple(chain.from_iterable(chunk)))
+    digest = hashlib.sha256()
+    fmt = None
+    with open(path, "wb") as f:
+        def put(text):
+            data = text.encode("utf-8")
+            f.write(data)
+            digest.update(data)
+
+        put(",".join(header) + "\n")
+        for block in blocks:
+            k, n = len(block), len(block[0])
+            flat = [None] * (k * n)
+            for i, column in enumerate(block):
+                flat[i::k] = column  # ValueError unless len(column) == n
+            if not n:
+                continue
+            if fmt is None:
+                fmt = ",".join(map(_column_format, flat[:k])) + "\n"
+            put((fmt * n) % tuple(flat))
+    return digest.hexdigest()
 
 
 def _records(cls, records):
-    """(header, rows) of dataclass records of type cls: one column per
-    field, in field order, so an empty list still has its header."""
+    """(header, blocks) of dataclass records of type cls: one column per
+    field, in field order, in a single block, so an empty list still
+    has its header."""
     names = [f.name for f in dataclasses.fields(cls)]
-    values = map(operator.attrgetter(*names), records)
-    # attrgetter of one name gives the bare value, not a 1-tuple
-    return names, values if len(names) > 1 else zip(values)
+    return names, [tuple([getattr(r, n) for r in records] for n in names)]
 
 
 def finite(text: str) -> float:
@@ -280,14 +289,6 @@ def build_parser():
     return parser, subs.choices
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _environment():
     """What the output bits may depend on beyond config and seed: numpy
     streams, scipy special functions, and the OpenBLAS thread count of
@@ -310,8 +311,7 @@ def _manifest(args, outputs, started):
         "version": __version__,
         "started_utc": started,
         "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "outputs": [{"path": os.path.basename(p), "sha256": _sha256(p)}
-                    for p in outputs],
+        "outputs": outputs,
         "environment": _environment(),
     }
     path = os.path.join(args.out_dir, "run_manifest.json")
@@ -352,7 +352,7 @@ def cmd_theory(args):
         rows.append((float(gdb), to_db(gamma_b), pe, pg,
                      fsk_coherent_ber(gamma_b)))
     header = ("gamma_db", "gamma_b_db", "ber_exact", "ber_gaussian", "ber_fsk")
-    return {"theory.csv": (header, rows)}, 0
+    return {"theory.csv": (header, [tuple(zip(*rows))])}, 0
 
 
 def cmd_simulate(args):
@@ -382,35 +382,35 @@ def cmd_coverage(args):
     grid = compute_ber_grid(sc)
     lines = contour_export(grid, tuple(args.levels))
     lam = sc.wavelength
-    rrows = []
-    for target in args.range_targets:
-        radius = range_estimate(sc, float(target))
-        rrows.append((target, radius, lam, radius / lam))
+    targets = list(args.range_targets)
+    radii = [range_estimate(sc, float(target)) for target in targets]
     return {
         "coverage_grid.csv": (("x", "y", "ber"), _grid_rows(grid)),
         "contours.csv": (("level", "line_id", "vertex_id", "x", "y"),
                          _contour_rows(lines)),
         "range.csv": (
             ("ber_target", "radius_m", "wavelength_m", "radius_wavelengths"),
-            rrows),
+            [(targets, radii, [lam] * len(radii),
+              [radius / lam for radius in radii])]),
     }, 1 if grid.errors else 0
 
 
 def _grid_rows(grid):
-    """(x, y, ber) per cell, x fastest; each axis value is formatted
-    once and one grid row of ber is a Python list at a time."""
+    """One (x, y, ber) block per grid row, x fastest; each axis value is
+    formatted once and one grid row of ber is a Python list at a time."""
     xs = [_FLOAT % x for x in grid.x_axis.tolist()]
     for y, ber in zip(grid.y_axis.tolist(), grid.ber):
-        yield from zip(xs, repeat(_FLOAT % y), ber.tolist())
+        yield xs, [_FLOAT % y] * len(xs), ber.tolist()
 
 
 def _contour_rows(lines):
-    """(level, line_id, vertex_id, x, y) per vertex; each distinct level
-    is formatted once."""
+    """One (level, line_id, vertex_id, x, y) block per line; each
+    distinct level is formatted once."""
     levels = {lv: _FLOAT % lv for lv in {line.level for line in lines}}
     for li, line in enumerate(lines):
-        yield from zip(repeat(levels[line.level]), repeat(li), count(),
-                       *line.points.T.tolist())
+        n = len(line.points)
+        yield ([levels[line.level]] * n, [li] * n, range(n),
+               *line.points.T.tolist())
 
 
 def cmd_replicate(args):
@@ -454,11 +454,11 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     outputs = []
     for name in list(tables):
-        # popped, so a written table's rows are freed before the next
+        # popped, so a written table's blocks are freed before the next
         # table is formatted
-        header, rows = tables.pop(name)
-        outputs.append(os.path.join(args.out_dir, name))
-        write_csv(outputs[-1], header, rows)
+        header, blocks = tables.pop(name)
+        digest = write_csv(os.path.join(args.out_dir, name), header, blocks)
+        outputs.append({"path": name, "sha256": digest})
     _manifest(args, outputs, started)
     return status
 

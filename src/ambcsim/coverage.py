@@ -158,9 +158,12 @@ def compute_ber_grid(sc: CoverageScenario) -> BerGrid:
                 msgs[k] = str(exc)
                 vals[k] = np.nan
         ber[ok] = vals[inv]
-        errors = tuple((i, j, msgs[k]) for (i, j), k
-                       in zip(np.argwhere(ok).tolist(), inv.tolist())
-                       if k in msgs)
+        errors = ()
+        if msgs:
+            failed = np.isin(inv, list(msgs))
+            errors = tuple((i, j, msgs[k]) for (i, j), k
+                           in zip(np.argwhere(ok)[failed].tolist(),
+                                  inv[failed].tolist()))
     return BerGrid(ber=ber, x_axis=sc.x_axis, y_axis=sc.y_axis,
                    errors=errors)
 
@@ -362,5 +365,5 @@ def _stitch(segs, first):
     ends = np.flatnonzero(nb[:, 1] < 0)
     paths = [walk(s, nx[s] ^ -1)
              for s in ends[np.argsort(first[ends])].tolist() if not seen[s]]
-    paths += [walk(a, b) for a, b in segs.tolist() if not seen[a]]
+    paths += [walk(a, b) for a, b in zip(*segs.T.tolist()) if not seen[a]]
     return paths

@@ -2,6 +2,7 @@
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -12,7 +13,6 @@ import pytest
 
 from ambcsim import cli
 from ambcsim.cli import (
-    _CHUNK_ROWS,
     _COMMANDS,
     _records,
     _sweep_config_from_args,
@@ -196,7 +196,16 @@ class TestSweepConfigFromArgs:
         assert cfg.channel == flat_channel()
 
 
+def columns(rows, width):
+    """rows as one block: a tuple of width column lists."""
+    return tuple([row[c] for row in rows] for c in range(width))
+
+
 class TestCsvWriter:
+    # blocks cut from a row list: an empty block, a one-row block, then
+    # uneven blocks around 1024 rows, repeating
+    BLOCK_SIZES = (0, 1, 1023, 1024, 0, 2)
+
     def test_column_formats(self, tmp_path):
         rows = [
             (True, 7, np.int64(-3), 0.1, np.float64(2.0 / 3.0),
@@ -206,7 +215,8 @@ class TestCsvWriter:
              "theory_exact", np.False_),
         ]
         path = tmp_path / "t.csv"
-        write_csv(path, [f"c{k}" for k in range(11)], iter(rows))
+        write_csv(path, [f"c{k}" for k in range(11)],
+                  iter([columns(rows, 11)]))
         assert path.read_bytes() == (
             b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10\n"
             b"1,7,-3,0.1,0.666666667,nan,inf,-0,1e-300,Power,1\n"
@@ -217,32 +227,51 @@ class TestCsvWriter:
         path = tmp_path / "t.csv"
         write_csv(path, ("a", "b"), iter(()))
         assert path.read_bytes() == b"a,b\n"
+        write_csv(path, ("a", "b"), iter([([], []), ((), ())]))
+        assert path.read_bytes() == b"a,b\n"
 
-    @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
-                                   _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
     def test_chunk_boundaries_match_per_row_format(self, tmp_path, n):
+        # the first block is empty, so the formats come from the first
+        # row of a later one
         specials = (float("nan"), float("inf"), float("-inf"), -0.0)
         rows = [(f"r{k}", k - 5000, k % 3 == 0, k / 7.0,
                  specials[k % 4], np.float64(k) * 1e-300)
                 for k in range(n)]
+        blocks = []
+        start = 0
+        for size in itertools.cycle(self.BLOCK_SIZES):
+            if start >= n and blocks:
+                break
+            blocks.append(columns(rows[start:start + size], 6))
+            start += size
         path = tmp_path / "t.csv"
-        write_csv(path, ("s", "i", "b", "f", "special", "tiny"), iter(rows))
+        digest = write_csv(path, ("s", "i", "b", "f", "special", "tiny"),
+                           iter(blocks))
         fmt = "%s,%d,%d,%.9g,%.9g,%.9g\n"
-        assert path.read_bytes() == (
-            "s,i,b,f,special,tiny\n"
-            + "".join(fmt % row for row in rows)).encode()
+        expected = ("s,i,b,f,special,tiny\n"
+                    + "".join(fmt % row for row in rows)).encode()
+        assert path.read_bytes() == expected
+        assert digest == hashlib.sha256(expected).hexdigest()
 
     def test_one_field_records_are_tuples(self, tmp_path):
         @dataclasses.dataclass
         class One:
             n: int
 
-        header, rows = _records(One, [One(3), One(-4)])
-        rows = list(rows)
-        assert (header, rows) == (["n"], [(3,), (-4,)])
+        header, blocks = _records(One, [One(3), One(-4)])
+        blocks = list(blocks)
+        assert (header, blocks) == (["n"], [([3, -4],)])
         path = tmp_path / "t.csv"
-        write_csv(path, header, rows)
+        write_csv(path, header, blocks)
         assert path.read_bytes() == b"n\n3\n-4\n"
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_column_of_wrong_length_raises(self, tmp_path, bad):
+        block = [[1, 2, 3], [0.5, 1.5, 2.5], ["a", "b", "c"]]
+        block[bad] = block[bad][:2]
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ("i", "f", "s"), [tuple(block)])
 
 
 class TestTheoryCommand:

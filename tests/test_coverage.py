@@ -348,6 +348,81 @@ class TestContours:
         assert len(enclosing) == 1
 
 
+def reference_stitch(segs, first):
+    """The walk of coverage._stitch that scans for loop starts over
+    segs.tolist(), kept as the reference for its paths."""
+    flat = segs.ravel()
+    nb = np.full((first.size, 2), -1)
+    nb[flat, (np.arange(flat.size) != first[flat]).astype(np.intp)] = \
+        segs[:, ::-1].ravel()
+    nx = (nb[:, 0] ^ nb[:, 1]).tolist()
+    seen = [False] * first.size
+
+    def walk(a, b):
+        path = [a]
+        seen[a] = True
+        while b >= 0 and not seen[b]:
+            path.append(b)
+            seen[b] = True
+            a, b = b, nx[b] ^ a
+        if b >= 0:
+            path.append(b)
+        return path
+
+    ends = np.flatnonzero(nb[:, 1] < 0)
+    paths = [walk(s, nx[s] ^ -1)
+             for s in ends[np.argsort(first[ends])].tolist() if not seen[s]]
+    paths += [walk(a, b) for a, b in segs.tolist() if not seen[a]]
+    return paths
+
+
+def random_degree2_graph(rng):
+    """(segs, first) of a seeded random graph of maximum degree 2: a
+    lone segment, a loop of 3, then open paths and loops of 3 or more
+    segments, with shuffled segment order, orientation and node ids."""
+    sizes = [(1, False), (3, True)] + [
+        (int(size), bool(size >= 3 and rng.random() < 0.5))
+        for size in rng.integers(1, 9, rng.integers(0, 10))]
+    parts = []
+    m = 0
+    for size, closed in sizes:
+        ids = np.arange(m, m + size + (not closed))
+        m += ids.size
+        parts.append(np.column_stack((ids, np.roll(ids, -1)))[:size])
+    segs = np.concatenate(parts)[rng.permutation(sum(s for s, _ in sizes))]
+    flip = rng.random(segs.shape[0]) < 0.5
+    segs[flip] = segs[flip, ::-1]
+    segs = rng.permutation(m)[segs]
+    _, first = np.unique(segs.ravel(), return_index=True)
+    return segs, first
+
+
+class TestStitch:
+    def test_paths_match_reference_walk(self):
+        for seed in range(200):
+            segs, first = random_degree2_graph(np.random.default_rng(seed))
+            paths = coverage._stitch(segs, first)
+            assert paths == reference_stitch(segs, first), seed
+            # every segment lies on exactly one path
+            walked = sorted(tuple(sorted(p)) for path in paths
+                            for p in zip(path, path[1:]))
+            assert walked == sorted(map(tuple, np.sort(segs, 1).tolist()))
+
+    def test_real_map_paths_match_reference_walk(self, monkeypatch):
+        graphs = []
+        stitch = coverage._stitch
+
+        def recording(segs, first):
+            graphs.append((segs, first))
+            return stitch(segs, first)
+
+        monkeypatch.setattr(coverage, "_stitch", recording)
+        contour_export(compute_ber_grid(default_scenario(resolution=200)))
+        assert len(graphs) == len(DEFAULT_LEVELS)
+        for segs, first in graphs:
+            assert stitch(segs, first) == reference_stitch(segs, first)
+
+
 class TestReliableRegionShape:
     """Pins the measured geometry of the level-0.1 reliable region."""
 
