@@ -8,15 +8,14 @@ from .ber_theory import (DetectionParams, SeriesError, ber_vs_iota,
                          fsk_coherent_ber, gaussian_ber,
                          iota_magnitude_for_target, params_for_scheme)
 from .channel import (SPEED_OF_LIGHT, ChannelSet, LinkGeometry,
-                      composite_gain, from_db, fspl_gain, lte_snr,
-                      scatter_ratio, snr_per_bit, to_db)
+                      composite_gain, from_db, fspl_gain, scatter_ratio,
+                      snr_per_bit, to_db)
 from .coverage import (BerGrid, ContourLine, CoverageScenario,
                        compute_ber_grid, contour_export, range_estimate)
 from .lte_grid import energy_stream
 from .modem import (BARKER7, DETECTOR_KINDS, FRAME_BITS, PAYLOAD_BITS,
                     SCHEMES, SYNC_BITS, SymbolAlphabet, demodulate_stream,
-                    detect, encode_bits, encode_frame, frame_sync,
-                    make_alphabet)
+                    encode_bits, encode_frame, frame_sync, make_alphabet)
 from .montecarlo import (BerPoint, DisagreementCount, PacketRecord,
                          SweepConfig, channel_for_snr, compare_receivers,
                          flat_channel, measurement_config,
@@ -34,10 +33,10 @@ __all__ = [
     "SymbolAlphabet",
     "ber_vs_iota", "channel_for_snr", "compare_receivers",
     "composite_gain", "compute_ber_grid", "contour_export",
-    "demodulate_stream", "detect", "doubly_noncentral_f_cdf", "encode_bits",
+    "demodulate_stream", "doubly_noncentral_f_cdf", "encode_bits",
     "encode_frame", "energy_stream", "exact_ber", "flat_channel",
     "frame_sync", "from_db", "fsk_coherent_ber", "fspl_gain", "gaussian_ber",
-    "iota_magnitude_for_target", "log_bessel_i", "lte_snr", "make_alphabet",
+    "iota_magnitude_for_target", "log_bessel_i", "make_alphabet",
     "measurement_config", "params_for_scheme", "q_func", "q_inv",
     "range_estimate", "replicate_measurement", "run_ber_sweep",
     "scatter_ratio", "snr_per_bit", "theory_points", "to_db",

@@ -74,6 +74,12 @@ class DetectionParams:
         if self.noise_power <= 0.0:
             raise ValueError("noise_power must be positive")
 
+    @property
+    def gamma_b(self):
+        """Per-bit SNR of channel.snr_per_bit at these gains."""
+        return _gamma_b(self.n_chips, self.m_sc, self.h_on_sq, self.h_off_sq,
+                        self.noise_power)
+
 
 def _window_overflow():
     return SeriesError(f"Poisson window needs more than {_MAX_TERMS} "
@@ -313,11 +319,8 @@ def exact_ber(p: DetectionParams, tables: dict | None = None):
 
 
 def gaussian_ber(p: DetectionParams):
-    """Large-m_sc asymptote of exact_ber: Q(sqrt(2 gamma_b)), with
-    gamma_b the per-bit SNR of channel.snr_per_bit."""
-    gamma_b = _gamma_b(p.n_chips, p.m_sc, p.h_on_sq, p.h_off_sq,
-                       p.noise_power)
-    return float(q_func(np.sqrt(2.0 * gamma_b)))
+    """Large-m_sc asymptote of exact_ber: Q(sqrt(2 p.gamma_b))."""
+    return float(q_func(np.sqrt(2.0 * p.gamma_b)))
 
 
 def fsk_coherent_ber(gamma_b):

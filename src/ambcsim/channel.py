@@ -128,11 +128,6 @@ def _scatter(d_d, d_s, d_b, lam):
             2.0 * np.pi * (d_d - d_b - d_s) / lam)
 
 
-def lte_snr(ch: ChannelSet) -> float:
-    """Cellular-link SNR gamma = |h_d|^2 / sigma_n^2 (linear)."""
-    return abs(ch.h_d) ** 2 / ch.noise_power
-
-
 def snr_per_bit(ch: ChannelSet, n_chips: int, m_sc: int) -> float:
     """Effective SNR per backscatter bit:
 
@@ -141,8 +136,12 @@ def snr_per_bit(ch: ChannelSet, n_chips: int, m_sc: int) -> float:
     """
     if n_chips < 1 or m_sc < 1:
         raise ValueError("n_chips and m_sc must be positive")
-    return _gamma_b(n_chips, m_sc, abs(composite_gain(ch, +1)) ** 2,
-                    abs(composite_gain(ch, -1)) ** 2, ch.noise_power)
+    return _gamma_b(n_chips, m_sc, *_state_powers(ch), ch.noise_power)
+
+
+def _state_powers(ch: ChannelSet):
+    """Squared composite gain magnitudes (on, off) of the two BD states."""
+    return abs(composite_gain(ch, +1)) ** 2, abs(composite_gain(ch, -1)) ** 2
 
 
 def _gamma_b(n_chips, m_sc, on, off, s2):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
@@ -30,12 +31,11 @@ import sys
 import time
 
 import numpy as np
-import scipy  # for the manifest's version stamp; specfun holds the numerics
 
 from . import __version__
 from .ber_theory import (SeriesError, _params_for_u, exact_ber,
                          fsk_coherent_ber, gaussian_ber)
-from .channel import _gamma_b, from_db, snr_per_bit, to_db
+from .channel import from_db, snr_per_bit, to_db
 from .coverage import (DEFAULT_LEVELS, CoverageScenario, compute_ber_grid,
                        contour_export, range_estimate)
 from .modem import DETECTOR_KINDS
@@ -296,7 +296,7 @@ def _environment():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": importlib.metadata.version("scipy"),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -340,10 +340,7 @@ def cmd_theory(args):
         if args.iota is not None:
             p = _params_for_u(abs(1.0 + args.iota) ** 2, from_db(gdb),
                               args.msc, args.n)
-            gamma_b = _gamma_b(p.n_chips, p.m_sc, p.h_on_sq, p.h_off_sq,
-                               p.noise_power)
-            pe = exact_ber(p)
-            pg = gaussian_ber(p)
+            gamma_b, pe, pg = p.gamma_b, exact_ber(p), gaussian_ber(p)
         else:
             te, tg = theory_points(cfg, float(gdb))
             pe, pg = te.ber, tg.ber
@@ -383,7 +380,14 @@ def cmd_coverage(args):
     lines = contour_export(grid, tuple(args.levels))
     lam = sc.wavelength
     targets = list(args.range_targets)
-    radii = [range_estimate(sc, float(target)) for target in targets]
+    radii, status = [], 1 if grid.errors else 0
+    for target in targets:
+        try:
+            radii.append(range_estimate(sc, float(target)))
+        except SeriesError as exc:  # like a failed cell: NaN, exit 1
+            print(f"error: {exc}", file=sys.stderr)
+            radii.append(math.nan)
+            status = 1
     return {
         "coverage_grid.csv": (("x", "y", "ber"), _grid_rows(grid)),
         "contours.csv": (("level", "line_id", "vertex_id", "x", "y"),
@@ -392,7 +396,7 @@ def cmd_coverage(args):
             ("ber_target", "radius_m", "wavelength_m", "radius_wavelengths"),
             [(targets, radii, [lam] * len(radii),
               [radius / lam for radius in radii])]),
-    }, 1 if grid.errors else 0
+    }, status
 
 
 def _grid_rows(grid):

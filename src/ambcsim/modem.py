@@ -53,9 +53,12 @@ FRAME_BITS = SYNC_BITS.size + PAYLOAD_BITS
 @dataclass(frozen=True)
 class SymbolAlphabet:
     scheme: str
-    n_chips: int
     s0: np.ndarray
     s1: np.ndarray
+
+    @property
+    def n_chips(self):
+        return len(self.s0)
 
 
 def _square_wave(n_chips, periods):
@@ -83,7 +86,7 @@ def make_alphabet(scheme: str, n_chips: int) -> SymbolAlphabet:
     else:
         s0 = _square_wave(n_chips, n_chips // 2)
         s1 = -s0
-    return SymbolAlphabet(scheme=scheme, n_chips=n_chips, s0=s0, s1=s1)
+    return SymbolAlphabet(scheme=scheme, s0=s0, s1=s1)
 
 
 def encode_bits(alphabet: SymbolAlphabet, bits) -> np.ndarray:
@@ -210,16 +213,6 @@ def _metric_diff(kind, ys, alphabet, ch, m_sc):
                 return np.where(z > 0.0, log_i - nu * np.log(z / 2.0),
                                 -math.lgamma(nu + 1.0))
     return np.sum(ell(g0) - ell(g1), axis=1)
-
-
-def detect(kind: str, y, alphabet: SymbolAlphabet, ch: ChannelSet,
-           m_sc: int) -> int:
-    """Decide one symbol from its N energy samples. Returns 0 or 1;
-    exact metric ties resolve to 0."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (alphabet.n_chips,):
-        raise ValueError("expected exactly n_chips energy samples")
-    return int(demodulate_stream(kind, y, alphabet, ch, m_sc)[0])
 
 
 def demodulate_stream(kind: str, stream, alphabet: SymbolAlphabet,

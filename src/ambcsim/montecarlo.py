@@ -24,13 +24,15 @@ import numpy as np
 from .ber_theory import (_ordered_params, exact_ber, fsk_coherent_ber,
                          gaussian_ber, params_for_scheme)
 from .channel import (SPEED_OF_LIGHT, ChannelSet, LinkGeometry,
-                      composite_gain, from_db, fspl_gain, snr_per_bit, to_db)
+                      _state_powers, composite_gain, from_db, fspl_gain,
+                      snr_per_bit, to_db)
 from .lte_grid import energy_stream
 from .modem import (DETECTOR_KINDS, FRAME_BITS, PAYLOAD_BITS, SCHEMES,
                     SYNC_BITS, demodulate_stream, encode_bits, encode_frame,
                     frame_sync, make_alphabet)
 
 _SHARD_SYMBOLS = 2500
+_Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def flat_channel(direct_gain_db: float = -52.2,
@@ -127,17 +129,17 @@ class PacketRecord:
     n_bits: int
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int):
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
     if not 0 <= k <= n:
         raise ValueError("k must be in [0, n]")
     p = k / n
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
@@ -151,9 +153,8 @@ def theory_points(cfg: SweepConfig, gamma_db: float):
     """Exact and asymptotic theory rows matching one sweep point."""
     ch = channel_for_snr(cfg, gamma_db)
     gamma_b = snr_per_bit(ch, cfg.n_chips, cfg.m_sc)
-    p = _ordered_params(abs(composite_gain(ch, +1)) ** 2,
-                        abs(composite_gain(ch, -1)) ** 2, ch.noise_power,
-                        cfg.m_sc, cfg.n_chips)
+    p = _ordered_params(*_state_powers(ch), ch.noise_power, cfg.m_sc,
+                        cfg.n_chips)
     pe = exact_ber(params_for_scheme(p, cfg.scheme))
     if cfg.scheme == "FSK":
         pg = fsk_coherent_ber(gamma_b)
@@ -324,8 +325,7 @@ def measurement_config(snr_per_bit_grid_db, n_symbols_per_point: int = 9999,
 def _noise_for_gamma_b(cfg: SweepConfig, gamma_b: float) -> float:
     """Noise power giving the requested per-bit SNR with the config's
     fixed path gains (closed-form root of the gamma_b definition)."""
-    on = abs(composite_gain(cfg.channel, +1)) ** 2
-    off = abs(composite_gain(cfg.channel, -1)) ** 2
+    on, off = _state_powers(cfg.channel)
     s = on + off
     d = on - off
     nm = cfg.n_chips * cfg.m_sc
@@ -343,7 +343,7 @@ def _replicate_point(cfg: SweepConfig, pi: int, gb_db: float):
     ch = replace(cfg.channel, noise_power=noise)
     h_on = composite_gain(ch, +1)
     h_off = composite_gain(ch, -1)
-    on, off = abs(h_on) ** 2, abs(h_off) ** 2
+    on, off = _state_powers(ch)
     mid = cfg.m_sc * (noise + 0.5 * (on + off))
     sgn = 1.0 if on >= off else -1.0
     log = []

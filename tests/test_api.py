@@ -52,10 +52,9 @@ def _scipy_imports(path):
 
 
 def test_scipy_numerics_enter_through_specfun_only():
-    # specfun may import from scipy.special; cli may only import the
-    # bare package for its version stamp; nothing else touches scipy
-    allowed = {"specfun": {("from", "scipy.special")},
-               "cli": {("import", "scipy")}}
+    # specfun may import from scipy.special; nothing else touches scipy,
+    # and cli reads its version from the package metadata
+    allowed = {"specfun": {("from", "scipy.special")}}
     stray = {}
     for path in sorted((_SRC / "ambcsim").glob("*.py")):
         extra = set(_scipy_imports(path)) - allowed.get(path.stem, set())

@@ -27,7 +27,7 @@ from ambcsim.ber_theory import (
     iota_magnitude_for_target,
     params_for_scheme,
 )
-from ambcsim.channel import ChannelSet, from_db, snr_per_bit
+from ambcsim.channel import ChannelSet, composite_gain, from_db, snr_per_bit
 from ambcsim.specfun import q_func, q_inv
 from oracles import (EXACT_BER_SMALL, EXACT_BER_SWEEP, F_CDF_8_16_4,
                      REG_BETA_HALF_576_577)
@@ -430,6 +430,27 @@ class TestAsymptotics:
         gb = snr_per_bit(ch, 4, 288)
         assert gaussian_ber(p) == pytest.approx(
             float(q_func(np.sqrt(2.0 * gb))), rel=1e-12)
+
+    def test_params_gamma_b_is_snr_per_bit(self):
+        # on a constructive channel the (on, off) order is snr_per_bit's,
+        # so the two homes of the per-bit SNR agree bit for bit
+        ch = ChannelSet(h_d=1.0, h_s=0.2 + 0.1j, h_b=0.7, noise_power=0.3,
+                        bd_off_depth=0.25)
+        on = abs(composite_gain(ch, +1)) ** 2
+        off = abs(composite_gain(ch, -1)) ** 2
+        assert on > off
+        for m_sc, n in ((288, 4), (12, 20), (1, 2)):
+            p = DetectionParams(m_sc=m_sc, n_chips=n, h_on_sq=on,
+                                h_off_sq=off, noise_power=ch.noise_power)
+            assert p.gamma_b == snr_per_bit(ch, n, m_sc)
+
+    @pytest.mark.parametrize("on, off, s2", [
+        (1.44, 1.0, 0.3), (1.0, 1.44, 0.3), (2.0, 0.0, 1e-3),
+        (1.0 + 1e-9, 1.0, 1.0), (7.0, 7.0, 2.0)])
+    def test_gaussian_ber_is_q_of_params_gamma_b(self, on, off, s2):
+        p = DetectionParams(m_sc=288, n_chips=4, h_on_sq=on, h_off_sq=off,
+                            noise_power=s2)
+        assert gaussian_ber(p) == float(q_func(np.sqrt(2 * p.gamma_b)))
 
     def test_fsk_rate(self):
         assert fsk_coherent_ber(0.0) == pytest.approx(0.5)

@@ -6,10 +6,10 @@ from ambcsim.channel import (
     SPEED_OF_LIGHT,
     ChannelSet,
     LinkGeometry,
+    _state_powers,
     composite_gain,
     from_db,
     fspl_gain,
-    lte_snr,
     scatter_ratio,
     snr_per_bit,
     to_db,
@@ -189,8 +189,10 @@ class TestScatterRatio:
 
 class TestSnr:
     def test_lte_snr(self):
+        # the cellular-link SNR gamma = |h_d|^2 / sigma_n^2
         ch = ChannelSet(h_d=0.02, h_s=1e-4, h_b=1.0, noise_power=1e-5)
-        assert lte_snr(ch) == pytest.approx(0.02 ** 2 / 1e-5, rel=1e-12)
+        assert abs(ch.h_d) ** 2 / ch.noise_power == pytest.approx(
+            0.02 ** 2 / 1e-5, rel=1e-12)
 
     def test_snr_per_bit_formula(self):
         ch = ChannelSet(h_d=0.02, h_s=1e-4, h_b=1.0, noise_power=1e-5)
@@ -204,6 +206,22 @@ class TestSnr:
         ch = ChannelSet(h_d=0.02, h_s=1e-4, h_b=1.0, noise_power=1e-5)
         assert snr_per_bit(ch, 8, 288) == pytest.approx(
             2.0 * snr_per_bit(ch, 4, 288), rel=1e-12)
+
+    def test_state_powers_are_the_squared_composite_gains(self):
+        # bit for bit on a destructive channel (off above on) and on a
+        # two-level tag with a residual absorb-state reflection
+        destructive = ChannelSet(h_d=0.02, h_s=-0.01 + 0.003j, h_b=1.0,
+                                 noise_power=1e-5)
+        off_depth = ChannelSet(h_d=0.02, h_s=0.01j, h_b=0.5 - 0.2j,
+                               noise_power=1e-5,
+                               bd_modulation_depth=10.0 ** (-0.5 / 20.0),
+                               bd_off_depth=10.0 ** (-23.0 / 20.0))
+        for ch in (destructive, off_depth):
+            on, off = _state_powers(ch)
+            assert on == abs(composite_gain(ch, +1)) ** 2
+            assert off == abs(composite_gain(ch, -1)) ** 2
+        assert _state_powers(destructive)[0] < _state_powers(destructive)[1]
+        assert _state_powers(off_depth)[1] != abs(off_depth.h_d) ** 2
 
     def test_rejects_bad_sizes(self):
         ch = ChannelSet(h_d=0.02, h_s=1e-4, h_b=1.0, noise_power=1e-5)

@@ -470,6 +470,26 @@ class TestCoverageCommand:
                    "--out-dir", str(tmp_path)])
         assert rc == 1
 
+    def test_failed_range_still_writes_its_tables(self, tmp_path, capsys):
+        # at 90 dB every exact cell and the range bisection fail; the
+        # cells and the radius read NaN, and every file is written
+        rc = main(["coverage", "--engine", "exact", "--gamma-db", "90",
+                   "--resolution", "5", "--half-span", "0.5",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "Poisson window" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "contours.csv", "coverage_grid.csv", "range.csv",
+            "run_manifest.json"]
+        _, grid_rows = read_csv(tmp_path / "coverage_grid.csv")
+        assert len(grid_rows) == 25
+        assert all(row["ber"] == "nan" for row in grid_rows)
+        _, rrows = read_csv(tmp_path / "range.csv")
+        assert ",".join(rrows[0].values()) == "0.01,nan,0.383366315,nan"
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert [o["path"] for o in manifest["outputs"]] == [
+            "coverage_grid.csv", "contours.csv", "range.csv"]
+
     @pytest.mark.parametrize("gamma_db", ["3000", "3080"])
     def test_huge_gamma_reads_everywhere(self, tmp_path, gamma_db):
         # num, then den too, overflow in the gaussian grid; no warning,

@@ -6,7 +6,7 @@ import pytest
 
 from ambcsim.ber_theory import DetectionParams, exact_ber, fsk_coherent_ber
 from ambcsim.channel import (SPEED_OF_LIGHT, composite_gain, from_db,
-                             lte_snr, snr_per_bit)
+                             snr_per_bit)
 from ambcsim.modem import FRAME_BITS, PAYLOAD_BITS
 from ambcsim.montecarlo import (
     SweepConfig,
@@ -92,7 +92,8 @@ class TestChannelForSnr:
     def test_sets_requested_snr(self):
         for gdb in (-3.0, 0.0, 12.5):
             ch = channel_for_snr(small_cfg(), gdb)
-            assert lte_snr(ch) == pytest.approx(from_db(gdb), rel=1e-12)
+            assert abs(ch.h_d) ** 2 / ch.noise_power == pytest.approx(
+                from_db(gdb), rel=1e-12)
 
     def test_flat_gains_scale(self):
         ch = channel_for_snr(small_cfg(), 6.0)

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from ambcsim.channel import ChannelSet, composite_gain
 from ambcsim.modem import (DETECTOR_KINDS, PAYLOAD_BITS, SCHEMES,
-                           _metric_diff, demodulate_stream, detect,
-                           encode_bits, encode_frame, frame_sync,
-                           make_alphabet)
+                           _metric_diff, demodulate_stream, encode_bits,
+                           encode_frame, frame_sync, make_alphabet)
 
 # n_chips valid for every scheme (FSK needs a multiple of 4)
 N_CHIPS = st.sampled_from([4, 8, 20])
@@ -63,4 +62,4 @@ def test_exact_tie_goes_to_zero(scheme, n, ch, m_sc, kind, root):
     y = np.full(n, float(root * root))
     d = _metric_diff(kind, y[None, :], a, ch, m_sc)
     assert d[0] == 0.0
-    assert detect(kind, y, a, ch, m_sc) == 0
+    assert demodulate_stream(kind, y, a, ch, m_sc)[0] == 0
