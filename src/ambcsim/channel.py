@@ -36,18 +36,19 @@ class LinkGeometry:
 
     @property
     def d_d(self):
-        return float(np.hypot(self.ue_pos[0] - self.bs_pos[0],
-                              self.ue_pos[1] - self.bs_pos[1]))
+        return _distance(self.ue_pos, self.bs_pos)
 
     @property
     def d_s(self):
-        return float(np.hypot(self.ue_pos[0] - self.bd_pos[0],
-                              self.ue_pos[1] - self.bd_pos[1]))
+        return _distance(self.ue_pos, self.bd_pos)
 
     @property
     def d_b(self):
-        return float(np.hypot(self.bd_pos[0] - self.bs_pos[0],
-                              self.bd_pos[1] - self.bs_pos[1]))
+        return _distance(self.bd_pos, self.bs_pos)
+
+
+def _distance(a, b):
+    return float(np.hypot(a[0] - b[0], a[1] - b[1]))
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,12 @@ class ChannelSet:
             raise ValueError("bd_off_depth must be in [0, bd_modulation_depth)")
         # finite path gains can still give a composite gain, or a squared
         # magnitude, beyond a double; the error rates need both
-        for b in (1, -1):
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = composite_gain(self, b)
-            m = math.hypot(g.real, g.imag)
-            if not math.isfinite(m * m):
-                raise ValueError("composite gains and their squared "
-                                 "magnitudes must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in _state_gains(self):
+                m = math.hypot(g.real, g.imag)
+                if not math.isfinite(m * m):
+                    raise ValueError("composite gains and their squared "
+                                     "magnitudes must be finite")
 
 
 def fspl_gain(d: float, lam: float) -> complex:
@@ -139,9 +139,14 @@ def snr_per_bit(ch: ChannelSet, n_chips: int, m_sc: int) -> float:
     return _gamma_b(n_chips, m_sc, *_state_powers(ch), ch.noise_power)
 
 
+def _state_gains(ch: ChannelSet):
+    """Composite gains (on, off) of the BD's reflect and absorb states."""
+    return composite_gain(ch, +1), composite_gain(ch, -1)
+
+
 def _state_powers(ch: ChannelSet):
     """Squared composite gain magnitudes (on, off) of the two BD states."""
-    return abs(composite_gain(ch, +1)) ** 2, abs(composite_gain(ch, -1)) ** 2
+    return tuple(abs(g) ** 2 for g in _state_gains(ch))
 
 
 def _gamma_b(n_chips, m_sc, on, off, s2):

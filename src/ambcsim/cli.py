@@ -29,6 +29,7 @@ import os
 import platform
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -307,7 +308,7 @@ def _manifest(args, outputs, started):
     doc = {
         "subcommand": args.subcommand,
         "config": {k: v for k, v in vars(args).items() if k != "config"},
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "version": __version__,
         "started_utc": started,
         "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -321,21 +322,18 @@ def _manifest(args, outputs, started):
         f.write("\n")
 
 
-def _sweep_config_from_args(args, n_symbols, detectors, scheme):
+def _sweep_config_from_args(args, *depths, **fields):
+    """SweepConfig of the link flags; unflagged fields keep defaults."""
     return SweepConfig(
-        snr_grid_db=tuple(args.gamma), n_symbols_per_point=n_symbols,
-        scheme=scheme, detectors=detectors, seed=args.seed,
-        per_re=getattr(args, "per_re", False),
-        m_sc=args.msc, n_chips=args.n,
+        snr_grid_db=tuple(args.gamma), seed=args.seed, m_sc=args.msc,
+        n_chips=args.n, **fields,
         channel=flat_channel(args.direct_db, args.scatter_db,
-                             args.scatter_phase,
-                             getattr(args, "depth", 1.0),
-                             getattr(args, "off_depth", 0.0)))
+                             args.scatter_phase, *depths))
 
 
 def cmd_theory(args):
     rows = []
-    cfg = _sweep_config_from_args(args, 10000, ("Correlation",), "BPSK")
+    cfg = _sweep_config_from_args(args)
     for gdb in args.gamma:
         if args.iota is not None:
             p = _params_for_u(abs(1.0 + args.iota) ** 2, from_db(gdb),
@@ -353,15 +351,16 @@ def cmd_theory(args):
 
 
 def cmd_simulate(args):
-    cfg = _sweep_config_from_args(args, args.symbols, tuple(args.detectors),
-                                  args.scheme)
+    cfg = _sweep_config_from_args(
+        args, args.depth, args.off_depth, n_symbols_per_point=args.symbols,
+        scheme=args.scheme, detectors=args.detectors, per_re=args.per_re)
     points = run_ber_sweep(cfg, threads=args.threads)
     return {"simulate.csv": _records(BerPoint, points)}, 0
 
 
 def cmd_compare(args):
-    cfg = _sweep_config_from_args(args, args.realizations,
-                                  tuple(args.detectors), "BPSK")
+    cfg = _sweep_config_from_args(args, n_symbols_per_point=args.realizations,
+                                  detectors=args.detectors)
     points, disagreements = compare_receivers(cfg, y_model=args.y_model,
                                               threads=args.threads)
     return {"compare.csv": _records(BerPoint, points),
@@ -377,6 +376,8 @@ def cmd_coverage(args):
         half_span=args.half_span, resolution=args.resolution,
         engine=args.engine)
     grid = compute_ber_grid(sc)
+    for msg, n in Counter(msg for _, _, msg in grid.errors).items():
+        print(f"error: {n} grid cells: {msg}", file=sys.stderr)
     lines = contour_export(grid, tuple(args.levels))
     lam = sc.wavelength
     targets = list(args.range_targets)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, composite_gain
+from .channel import ChannelSet, _state_gains
 from .specfun import log_bessel_i
 
 DETECTOR_KINDS = ("BesselMap", "SquareRoot", "Correlation", "Power")
@@ -179,11 +179,8 @@ def frame_sync(chip_llrs, alphabet: SymbolAlphabet):
 
 
 def _pattern_gains(alphabet: SymbolAlphabet, ch: ChannelSet):
-    a_on = abs(composite_gain(ch, +1))
-    a_off = abs(composite_gain(ch, -1))
-    g0 = np.where(alphabet.s0 > 0, a_on, a_off)
-    g1 = np.where(alphabet.s1 > 0, a_on, a_off)
-    return g0, g1
+    gains = [abs(g) for g in _state_gains(ch)]
+    return np.where(alphabet.s0 > 0, *gains), np.where(alphabet.s1 > 0, *gains)
 
 
 def _metric_diff(kind, ys, alphabet, ch, m_sc):

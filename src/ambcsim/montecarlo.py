@@ -24,7 +24,7 @@ import numpy as np
 from .ber_theory import (_ordered_params, exact_ber, fsk_coherent_ber,
                          gaussian_ber, params_for_scheme)
 from .channel import (SPEED_OF_LIGHT, ChannelSet, LinkGeometry,
-                      _state_powers, composite_gain, from_db, fspl_gain,
+                      _state_gains, _state_powers, from_db, fspl_gain,
                       snr_per_bit, to_db)
 from .lte_grid import energy_stream
 from .modem import (DETECTOR_KINDS, FRAME_BITS, PAYLOAD_BITS, SCHEMES,
@@ -176,7 +176,7 @@ def _shard_sizes(total: int):
 
 
 def _simulate_shard(cfg: SweepConfig, gamma_db: float, point_index: int,
-                    shard_index: int, n_symbols: int, y_model: str = "chi2"):
+                    shard_index: int, n_symbols: int, y_model: str):
     """Detect n_symbols random symbols on one seeded stream. All
     detectors in cfg see the same realizations. Returns per-detector
     error counts plus pairwise disagreement counts. y_model is "chi2"
@@ -187,9 +187,7 @@ def _simulate_shard(cfg: SweepConfig, gamma_db: float, point_index: int,
     alphabet = make_alphabet(cfg.scheme, cfg.n_chips)
     bits = rng.integers(0, 2, n_symbols)
     chips = encode_bits(alphabet, bits)
-    h_on = composite_gain(ch, +1)
-    h_off = composite_gain(ch, -1)
-    h = np.where(chips > 0, h_on, h_off)
+    h = np.where(chips > 0, *_state_gains(ch))
     if y_model == "chi2":
         ys = energy_stream(h, cfg.m_sc, ch.noise_power, rng,
                            per_re=cfg.per_re)
@@ -248,8 +246,7 @@ def run_ber_sweep(cfg: SweepConfig, threads: int = 1):
     for pi, gdb in enumerate(cfg.snr_grid_db):
         gdb = float(gdb)
         points.extend(theory_points(cfg, gdb))
-        points.extend(_sim_points(cfg, gdb, errors[pi],
-                                  cfg.n_symbols_per_point))
+        points.extend(_sim_points(cfg, gdb, errors[pi]))
     return points
 
 
@@ -263,12 +260,12 @@ def _sim_point(gamma_db: float, gamma_b_db: float, receiver: str, k: int,
                     source="simulation", ci_low=lo, ci_high=hi)
 
 
-def _sim_points(cfg: SweepConfig, gdb: float, errors_row, n: int):
+def _sim_points(cfg: SweepConfig, gdb: float, errors_row):
     """One simulation BerPoint per detector at SNR point gdb, from its
-    error counts over n bits."""
+    error counts over cfg.n_symbols_per_point bits."""
     ch = channel_for_snr(cfg, gdb)
     gb_db = to_db(snr_per_bit(ch, cfg.n_chips, cfg.m_sc))
-    return [_sim_point(gdb, gb_db, det, int(k), n)
+    return [_sim_point(gdb, gb_db, det, int(k), cfg.n_symbols_per_point)
             for det, k in zip(cfg.detectors, errors_row)]
 
 
@@ -288,7 +285,7 @@ def compare_receivers(cfg: SweepConfig, y_model: str = "chi2",
     rows = []
     for pi, gdb in enumerate(cfg.snr_grid_db):
         gdb = float(gdb)
-        points.extend(_sim_points(cfg, gdb, errors[pi], n))
+        points.extend(_sim_points(cfg, gdb, errors[pi]))
         pairs = itertools.combinations(cfg.detectors, 2)
         rows.extend(DisagreementCount(
             gamma_db=gdb, receiver_a=a, receiver_b=b,
@@ -341,8 +338,7 @@ def _replicate_point(cfg: SweepConfig, pi: int, gb_db: float):
     tail = SYNC_BITS.size * n
     noise = _noise_for_gamma_b(cfg, from_db(gb_db))
     ch = replace(cfg.channel, noise_power=noise)
-    h_on = composite_gain(ch, +1)
-    h_off = composite_gain(ch, -1)
+    gains = _state_gains(ch)
     on, off = _state_powers(ch)
     mid = cfg.m_sc * (noise + 0.5 * (on + off))
     sgn = 1.0 if on >= off else -1.0
@@ -355,7 +351,7 @@ def _replicate_point(cfg: SweepConfig, pi: int, gb_db: float):
         chips = np.concatenate([
             -np.ones(lead, dtype=int),
             encode_frame(payload, alphabet, idle_chips=tail)])
-        h = np.where(chips > 0, h_on, h_off)
+        h = np.where(chips > 0, *gains)
         ys = energy_stream(h, cfg.m_sc, noise, rng,
                            per_re=cfg.per_re)
         llr = sgn * (ys - mid)

@@ -1,6 +1,6 @@
 """The public API: ambcsim.__all__ and the package namespace agree,
-importing the command line stays light, and scipy's numerics enter
-through specfun alone."""
+importing the command line stays light, scipy's numerics enter
+through specfun alone, and the two BD state gains have one home."""
 import ast
 import os
 import subprocess
@@ -61,3 +61,22 @@ def test_scipy_numerics_enter_through_specfun_only():
         if extra:
             stray[path.name] = sorted(extra)
     assert stray == {}
+
+
+def _calls_of(path, name):
+    """Calls of name, plain or as an attribute, in a source file."""
+    return sum(1 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Call) and name in (
+                   getattr(node.func, "id", None),
+                   getattr(node.func, "attr", None)))
+
+
+def test_state_gains_have_one_home():
+    # composite_gain(ch, +1) and composite_gain(ch, -1) are written once,
+    # in channel._state_gains; every other module asks it for the pair
+    calls = {}
+    for path in sorted((_SRC / "ambcsim").glob("*.py")):
+        n = _calls_of(path, "composite_gain")
+        if n:
+            calls[path.stem] = n
+    assert calls == {"channel": 2}

@@ -6,6 +6,7 @@ from ambcsim.channel import (
     SPEED_OF_LIGHT,
     ChannelSet,
     LinkGeometry,
+    _state_gains,
     _state_powers,
     composite_gain,
     from_db,
@@ -206,6 +207,22 @@ class TestSnr:
         ch = ChannelSet(h_d=0.02, h_s=1e-4, h_b=1.0, noise_power=1e-5)
         assert snr_per_bit(ch, 8, 288) == pytest.approx(
             2.0 * snr_per_bit(ch, 4, 288), rel=1e-12)
+
+    def test_state_gains_are_the_two_composite_gains(self):
+        # bit for bit, reflect then absorb, on a destructive channel and
+        # on a two-level tag with a residual absorb-state reflection
+        destructive = ChannelSet(h_d=0.02, h_s=-0.01 + 0.003j, h_b=1.0,
+                                 noise_power=1e-5)
+        off_depth = ChannelSet(h_d=0.02, h_s=0.01j, h_b=0.5 - 0.2j,
+                               noise_power=1e-5,
+                               bd_modulation_depth=10.0 ** (-0.5 / 20.0),
+                               bd_off_depth=10.0 ** (-23.0 / 20.0))
+        for ch in (destructive, off_depth):
+            on, off = _state_gains(ch)
+            assert on == composite_gain(ch, +1)
+            assert off == composite_gain(ch, -1)
+        assert abs(_state_gains(destructive)[0]) < abs(destructive.h_d)
+        assert _state_gains(off_depth)[1] != off_depth.h_d
 
     def test_state_powers_are_the_squared_composite_gains(self):
         # bit for bit on a destructive channel (off above on) and on a

@@ -27,7 +27,7 @@ from ambcsim.cli import (
     write_csv,
 )
 from ambcsim.coverage import CoverageScenario
-from ambcsim.montecarlo import flat_channel
+from ambcsim.montecarlo import SweepConfig, flat_channel, measurement_config
 from oracles import EXACT_BER_SWEEP
 
 
@@ -187,13 +187,33 @@ class TestConfigFile:
         assert not out.exists() or not any(out.iterdir())
 
 
+def field_defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
 class TestSweepConfigFromArgs:
     def test_cli_defaults_are_library_defaults(self):
+        # every CLI default that restates a library default equals it
         parser, _ = build_parser()
-        args = parser.parse_args(["simulate"])
-        cfg = _sweep_config_from_args(args, args.symbols,
-                                      tuple(args.detectors), args.scheme)
+        sim = parser.parse_args(["simulate"])
+        lib = field_defaults(SweepConfig)
+        assert (sim.symbols, sim.scheme, sim.detectors, sim.msc, sim.n) == (
+            lib["n_symbols_per_point"], lib["scheme"], lib["detectors"],
+            lib["m_sc"], lib["n_chips"])
+        cfg = _sweep_config_from_args(sim, sim.depth, sim.off_depth)
         assert cfg.channel == flat_channel()
+        cov = parser.parse_args(["coverage"])
+        lib = field_defaults(CoverageScenario)
+        assert (cov.msc, cov.n, cov.half_span, cov.resolution,
+                cov.engine) == (lib["m_sc"], lib["n_chips"], lib["half_span"],
+                                lib["resolution"], lib["engine"])
+        rep = parser.parse_args(["replicate"])
+        assert rep.symbols == measurement_config((3.0,)).n_symbols_per_point
+        # theory has no flag for symbols, scheme, detectors, per-RE
+        # synthesis or the BD depths: its config keeps their defaults
+        theory = parser.parse_args(["theory"])
+        assert _sweep_config_from_args(theory) == SweepConfig(
+            snr_grid_db=theory.gamma)
 
 
 def columns(rows, width):
@@ -471,13 +491,16 @@ class TestCoverageCommand:
         assert rc == 1
 
     def test_failed_range_still_writes_its_tables(self, tmp_path, capsys):
-        # at 90 dB every exact cell and the range bisection fail; the
-        # cells and the radius read NaN, and every file is written
+        # at 90 dB the series fails in the 24 cells off the UE's singular
+        # one and in the range bisection; the cells and the radius read
+        # NaN, stderr names both failures, and every file is written
         rc = main(["coverage", "--engine", "exact", "--gamma-db", "90",
                    "--resolution", "5", "--half-span", "0.5",
                    "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert "Poisson window" in capsys.readouterr().err
+        msg = "Poisson window needs more than 20000 indices"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: 24 grid cells: {msg}", f"error: {msg}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "contours.csv", "coverage_grid.csv", "range.csv",
             "run_manifest.json"]
