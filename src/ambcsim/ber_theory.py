@@ -190,11 +190,18 @@ def _reg_beta_table(x, a0, b0, nj, nk):
     product with the k-weights stays one matrix-vector product over the
     whole C-contiguous table (see _f_cdf_series), since a blocked
     product would sum in another order and move the last bits.
+
+    The output is allocated after every scratch array, so the scratch
+    leaves its holes below the table, not between it and the next one.
+    Allocated first, a table had scratch blocks right above it, and a
+    map's next, slightly larger table often found no room in the hole
+    of the one it replaced: the heap grew by a table, so the peak RSS
+    of an exact map after a theory sweep depended on how earlier
+    imports had laid out the heap (86 or 96 MB from run to run).
     """
     la = math.log(x)
     lb = math.log1p(-x)
     corner = float(betainc(a0, b0, x))
-    out = np.empty((nj, nk))
     col = np.empty(nj)
     col[0] = corner
     if nj > 1:
@@ -202,7 +209,6 @@ def _reg_beta_table(x, a0, b0, nj, nk):
         lt = ((a0 + j) * la + b0 * lb + gammaln(a0 + j + b0)
               - gammaln(a0 + j + 1.0) - gammaln(b0))
         col[1:] = corner - np.cumsum(np.exp(lt))
-    np.clip(col, 0.0, 1.0, out[:, 0])
     if nk > 1:
         j = np.arange(nj, dtype=float)
         t = np.arange(nk - 1, dtype=float)[:, None]
@@ -215,23 +221,25 @@ def _reg_beta_table(x, a0, b0, nj, nk):
         hank = np.lib.stride_tricks.sliding_window_view(s, nj)
         blk = np.empty((min(_BLOCK, nk - 1), nj))
         rows = list(blk)
-        for r0 in range(0, nk - 1, _BLOCK):
-            r1 = min(r0 + _BLOCK, nk - 1)
-            n = r1 - r0
-            lt = blk[:n]
-            np.add(ja, tb[r0:r1], lt)
-            lt += hank[r0:r1]
-            lt -= ga
-            lt -= gb[r0:r1]
-            np.exp(lt, lt)
-            if r0:
-                np.add(rows[0], carry, rows[0])
-            for i in range(1, n):
-                np.add(rows[i], rows[i - 1], rows[i])
-            carry = rows[n - 1].copy()
-            lt += col
-            np.clip(lt, 0.0, 1.0, lt)
-            out[:, 1 + r0:1 + r1] = lt.T
+    out = np.empty((nj, nk))
+    np.clip(col, 0.0, 1.0, out[:, 0])
+    for r0 in range(0, nk - 1, _BLOCK):
+        r1 = min(r0 + _BLOCK, nk - 1)
+        n = r1 - r0
+        lt = blk[:n]
+        np.add(ja, tb[r0:r1], lt)
+        lt += hank[r0:r1]
+        lt -= ga
+        lt -= gb[r0:r1]
+        np.exp(lt, lt)
+        if r0:
+            np.add(rows[0], carry, rows[0])
+        for i in range(1, n):
+            np.add(rows[i], rows[i - 1], rows[i])
+        carry = rows[n - 1].copy()
+        lt += col
+        np.clip(lt, 0.0, 1.0, lt)
+        out[:, 1 + r0:1 + r1] = lt.T
     return out
 
 

@@ -5,8 +5,8 @@ Common flags: --seed, --config, --out-dir, --threads. A flat
 key=value config file supplies defaults; explicit flags win. Every run
 writes its CSV outputs plus a run_manifest.json recording the resolved
 configuration, seed, version, timestamps, output hashes, and the
-environment (Python, numpy and scipy versions, platform, CPU count,
-OPENBLAS_NUM_THREADS).
+environment (Python, numpy and scipy versions, numpy's dispatched SIMD
+targets, platform, CPU count, OPENBLAS_NUM_THREADS).
 
 Each cmd_* computes and returns its tables, a dict from CSV file name
 to (header, blocks); main alone writes them, then the manifest, so a
@@ -33,17 +33,24 @@ from collections import Counter
 
 import numpy as np
 
+try:
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import (__cpu_dispatch__,
+                                              __cpu_features__)
+
 from . import __version__
 from .ber_theory import (SeriesError, _params_for_u, exact_ber,
                          fsk_coherent_ber, gaussian_ber)
-from .channel import from_db, snr_per_bit, to_db
+from .channel import from_db, to_db
 from .coverage import (DEFAULT_LEVELS, CoverageScenario, compute_ber_grid,
                        contour_export, range_estimate)
 from .modem import DETECTOR_KINDS
 from .montecarlo import (BerPoint, DisagreementCount, PacketRecord,
-                         SweepConfig, channel_for_snr, compare_receivers,
+                         SweepConfig, _theory_bers, compare_receivers,
                          flat_channel, measurement_config,
-                         replicate_measurement, run_ber_sweep, theory_points)
+                         replicate_measurement, run_ber_sweep)
 
 _FLOAT = "%.9g"
 
@@ -292,11 +299,14 @@ def build_parser():
 
 def _environment():
     """What the output bits may depend on beyond config and seed: numpy
-    streams, scipy special functions, and the OpenBLAS thread count of
-    the exact series' last matrix-vector product (None when unset)."""
+    streams and the SIMD targets its kernels dispatch to on this CPU,
+    scipy special functions, and the OpenBLAS thread count of the exact
+    series' last matrix-vector product (None when unset)."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "numpy_cpu_dispatch": [f for f in __cpu_dispatch__
+                               if __cpu_features__.get(f)],
         "scipy": importlib.metadata.version("scipy"),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
@@ -340,10 +350,7 @@ def cmd_theory(args):
                               args.msc, args.n)
             gamma_b, pe, pg = p.gamma_b, exact_ber(p), gaussian_ber(p)
         else:
-            te, tg = theory_points(cfg, float(gdb))
-            pe, pg = te.ber, tg.ber
-            gamma_b = snr_per_bit(channel_for_snr(cfg, float(gdb)),
-                                  cfg.n_chips, cfg.m_sc)
+            gamma_b, pe, pg = _theory_bers(cfg, float(gdb))
         rows.append((float(gdb), to_db(gamma_b), pe, pg,
                      fsk_coherent_ber(gamma_b)))
     header = ("gamma_db", "gamma_b_db", "ber_exact", "ber_gaussian", "ber_fsk")

@@ -149,8 +149,8 @@ def channel_for_snr(cfg: SweepConfig, gamma_db: float) -> ChannelSet:
     return replace(cfg.channel, noise_power=noise)
 
 
-def theory_points(cfg: SweepConfig, gamma_db: float):
-    """Exact and asymptotic theory rows matching one sweep point."""
+def _theory_bers(cfg: SweepConfig, gamma_db: float):
+    """(gamma_b, exact BER, asymptotic BER) at one sweep point."""
     ch = channel_for_snr(cfg, gamma_db)
     gamma_b = snr_per_bit(ch, cfg.n_chips, cfg.m_sc)
     p = _ordered_params(*_state_powers(ch), ch.noise_power, cfg.m_sc,
@@ -163,6 +163,12 @@ def theory_points(cfg: SweepConfig, gamma_db: float):
     if cfg.scheme == "DBPSK":
         pe = 2.0 * pe * (1.0 - pe)
         pg = 2.0 * pg * (1.0 - pg)
+    return gamma_b, pe, pg
+
+
+def theory_points(cfg: SweepConfig, gamma_db: float):
+    """Exact and asymptotic theory rows matching one sweep point."""
+    gamma_b, pe, pg = _theory_bers(cfg, gamma_db)
     gb_db = to_db(gamma_b)
     mk = lambda ber, src: BerPoint(
         gamma_db=gamma_db, gamma_b_db=gb_db, ber=float(ber), n_errors=0,

@@ -1,6 +1,7 @@
 """The public API: ambcsim.__all__ and the package namespace agree,
 importing the command line stays light, scipy's numerics enter
-through specfun alone, and the two BD state gains have one home."""
+through specfun alone and load only where the exact series or a low
+Bessel order needs them, and the two BD state gains have one home."""
 import ast
 import os
 import subprocess
@@ -24,18 +25,48 @@ def test_every_public_attribute_is_in_all():
     assert sorted(public - set(ambcsim.__all__)) == []
 
 
-def test_cli_import_loads_neither_fractions_nor_scipy_stats():
-    # the large-order Bessel polynomials import fractions on first use;
-    # a module-level import there, or of scipy.stats anywhere, would
-    # slow every process start
+def _run_probe(probe):
+    """stdout of a fresh interpreter that imports ambcsim from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(_SRC), env.get("PYTHONPATH")) if p)
-    probe = ("import sys, ambcsim.cli; "
-             "print(sorted({'fractions', 'scipy.stats'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", probe], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def _loaded(*roots):
+    """Probe expression: the sorted modules loaded under these roots."""
+    return f"sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})"
+
+
+def test_cli_import_loads_neither_fractions_nor_scipy_stats():
+    # the large-order Bessel polynomials import fractions on first use,
+    # and specfun imports scipy.special on first use; a module-level
+    # import of either, or of any scipy module elsewhere, would slow
+    # every process start
+    out = _run_probe("import sys, ambcsim.cli; "
+                     f"print({_loaded('fractions', 'scipy')})")
     assert out.strip() == "[]"
+
+
+def test_only_the_exact_series_loads_scipy():
+    # replicate, compare (BesselMap at order m_sc - 1 = 287) and the
+    # gaussian coverage map run without scipy; theory's exact series
+    # loads scipy.special on its first value
+    runs = [["replicate", "--gamma-b", "5", "--symbols", "202"],
+            ["compare", "--gamma", "5", "--realizations", "200",
+             "--detectors", "Correlation,SquareRoot,Power,BesselMap"],
+            ["coverage", "--engine", "gaussian", "--resolution", "5"],
+            ["theory", "--gamma", "0"]]
+    probe = ("import sys, tempfile, ambcsim.cli as c\n"
+             f"for argv in {runs!r}:\n"
+             "    with tempfile.TemporaryDirectory() as d:\n"
+             "        assert c.main(argv + ['--threads', '1', '--out-dir', d]) == 0\n"
+             f"    print(argv[0], bool({_loaded('scipy')}),\n"
+             "          'scipy.special' in sys.modules)\n")
+    out = _run_probe(probe).splitlines()
+    assert out == ["replicate False False", "compare False False",
+                   "coverage False False", "theory True True"]
 
 
 def _scipy_imports(path):

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ambcsim import cli
+from ambcsim import cli, montecarlo
 from ambcsim.cli import (
     _COMMANDS,
     _records,
@@ -314,6 +314,20 @@ class TestTheoryCommand:
         digest = hashlib.sha256((tmp_path / "theory.csv").read_bytes())
         assert entry["sha256"] == digest.hexdigest()
 
+    def test_each_row_builds_its_channel_once(self, tmp_path, monkeypatch):
+        # gamma_b_db, the two BERs and ber_fsk of a row share one channel
+        # and one per-bit SNR
+        calls = []
+        for mod in (montecarlo, cli):
+            for name in ("channel_for_snr", "snr_per_bit"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name,
+                                        lambda *a, _f=getattr(mod, name),
+                                        _n=name: calls.append(_n) or _f(*a))
+        assert main(["theory", "--gamma", "0:5:10", "--out-dir",
+                     str(tmp_path)]) == 0
+        assert calls == ["channel_for_snr", "snr_per_bit"] * 3
+
     def test_zero_iota_gives_coin_flip_row(self, tmp_path):
         rc = main(["theory", "--gamma", "5", "--iota", "0",
                    "--out-dir", str(tmp_path)])
@@ -394,13 +408,15 @@ class TestManifestEnvironment:
                              .read_text())
             envs[name] = doc["environment"]
         assert set(envs["unset"]) == {"python", "numpy", "scipy",
-                                      "platform", "cpu_count",
-                                      "openblas_num_threads"}
+                                      "numpy_cpu_dispatch", "platform",
+                                      "cpu_count", "openblas_num_threads"}
         assert envs["unset"]["openblas_num_threads"] is None
         assert envs["set"]["openblas_num_threads"] == "1"
         assert envs["unset"]["python"] == platform.python_version()
         assert envs["unset"]["numpy"] == np.__version__
         assert envs["unset"]["cpu_count"] == os.cpu_count()
+        assert envs["unset"]["numpy_cpu_dispatch"] == \
+            [f for f in cli.__cpu_dispatch__ if cli.__cpu_features__[f]]
         assert (tmp_path / "unset" / "simulate.csv").read_bytes() == \
             (tmp_path / "set" / "simulate.csv").read_bytes()
 

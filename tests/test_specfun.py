@@ -1,8 +1,11 @@
 """Special-function accuracy against closed forms and series oracles."""
+import statistics
+import sys
+
 import numpy as np
 import pytest
 
-from ambcsim.specfun import log_bessel_i, q_func, q_inv
+from ambcsim.specfun import _as241, log_bessel_i, q_func, q_inv
 from oracles import (
     DEBYE_ORDERS,
     DEBYE_X,
@@ -128,6 +131,16 @@ class TestLogBesselLargeOrder:
         for j, order in enumerate(orders):
             assert np.array_equal(log_bessel_i(order, xs), together[:, j])
 
+    def test_large_orders_never_load_scipy(self, monkeypatch):
+        # a None entry makes any import of scipy.special raise
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        orders = np.array([50.0, 51.0, 287.0, 900.5, 1024.0])
+        xs = np.array([1e-300, 1e-6, 1.0, 33.5, 600.0, 1e6])
+        o, x = np.meshgrid(orders, xs)
+        assert np.all(np.isfinite(log_bessel_i(o, x)))
+        with pytest.raises(ImportError):
+            log_bessel_i(49.0, 1.0)
+
     def test_zero_argument_in_array(self):
         # -inf without a RuntimeWarning, which the suite turns into a
         # failure
@@ -155,6 +168,16 @@ class TestQFunc:
         # Q(10) = 7.6198530241605...e-24 (erfc closed form)
         assert abs(q_func(10.0) / 7.6198530241605255e-24 - 1.0) < 1e-6
 
+    def test_tail_matches_mpmath(self):
+        # math.erfc against 40-digit erfc at the same double argument
+        # x / sqrt(2); the rounding of that argument is the formula's
+        mp = pytest.importorskip("mpmath")
+        xs = np.geomspace(1.0, 37.5, 200)
+        with mp.workdps(40):
+            for x, y in zip(xs, xs / np.sqrt(2.0)):
+                ref = mp.erfc(mp.mpf(float(y))) / 2
+                assert abs(mp.mpf(q_func(x)) / ref - 1) < 5e-16, x
+
     def test_infinities(self):
         assert q_func(np.inf) == 0.0
         assert q_func(-np.inf) == 1.0
@@ -180,6 +203,20 @@ class TestQInv:
     def test_round_trip_sweep(self):
         for p in (1e-12, 1e-6, 1e-3, 0.1, 0.4, 0.6, 0.9, 1.0 - 1e-9):
             assert abs(q_func(q_inv(p)) - p) < 1e-10
+
+    def test_as241_is_the_stdlib_quantile(self):
+        # the start of q_inv, bit for bit, on a log sweep of both tails
+        inv = statistics.NormalDist().inv_cdf
+        ps = np.concatenate([np.geomspace(1e-300, 0.5, 10000),
+                             1.0 - np.geomspace(1e-16, 0.5, 2000)])
+        assert [p for p in ps.tolist() if _as241(p) != inv(p)] == []
+
+    def test_close_to_scipy_ndtri(self):
+        special = pytest.importorskip("scipy.special")
+        ps = np.geomspace(1e-300, 0.999, 2000)
+        ref = -special.ndtri(ps)
+        got = q_inv(ps)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref) + 1e-300)
 
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
