@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,6 +97,12 @@ def _poisson_cdf(k, mu):
     return c
 
 
+@lru_cache(maxsize=None)
+def _normal_quantile(p):
+    # Pr(N(0,1) <= z) = p, once per process for the windows' two p
+    return -q_inv(p)
+
+
 def _poisson_quantile(p, mu):
     """Smallest k >= 0 with CDF(k) >= p, for 0 < p < 1.
 
@@ -106,7 +113,7 @@ def _poisson_quantile(p, mu):
     from mu exceeds _MAX_TERMS, or once the upward walk passes
     _MAX_TERMS indices above floor(mu).
     """
-    z = -q_inv(p)
+    z = _normal_quantile(p)
     step = z * math.sqrt(mu) + (z * z - 1.0) / 6.0
     if abs(step) > _MAX_TERMS:
         raise _window_overflow()

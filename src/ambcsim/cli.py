@@ -5,8 +5,8 @@ Common flags: --seed, --config, --out-dir, --threads. A flat
 key=value config file supplies defaults; explicit flags win. Every run
 writes its CSV outputs plus a run_manifest.json recording the resolved
 configuration, seed, version, timestamps, output hashes, and the
-environment (Python, numpy and scipy versions, numpy's dispatched SIMD
-targets, platform, CPU count, OPENBLAS_NUM_THREADS).
+environment (Python and numpy versions, scipy's if loaded, numpy's
+dispatched SIMD targets, platform, CPU count, OPENBLAS_NUM_THREADS).
 
 Each cmd_* computes and returns its tables, a dict from CSV file name
 to (header, blocks); main alone writes them, then the manifest, so a
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import importlib.metadata
 import json
 import math
 import os
@@ -300,14 +299,15 @@ def build_parser():
 def _environment():
     """What the output bits may depend on beyond config and seed: numpy
     streams and the SIMD targets its kernels dispatch to on this CPU,
-    scipy special functions, and the OpenBLAS thread count of the exact
-    series' last matrix-vector product (None when unset)."""
+    scipy special functions (None when the process loaded no scipy),
+    and the OpenBLAS thread count of the exact series' last
+    matrix-vector product (None when unset)."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "numpy_cpu_dispatch": [f for f in __cpu_dispatch__
                                if __cpu_features__.get(f)],
-        "scipy": importlib.metadata.version("scipy"),
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -220,6 +218,9 @@ def _pool_map(fn, tasks, threads: int):
         raise ValueError("threads must be at least 1")
     if threads == 1:
         return [fn(*t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     with ProcessPoolExecutor(max_workers=threads,
                              mp_context=get_context("spawn")) as ex:
         return list(ex.map(fn, *zip(*tasks), chunksize=1))

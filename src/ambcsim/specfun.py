@@ -11,22 +11,26 @@ numpy, with ten terms whose polynomials U_k(p) are built once in exact
 rationals from the recurrence DLMF 10.41.9. Lower orders come from
 scipy's exponentially scaled `ive`, and from a log-domain ascending
 series where `ive` underflows to zero; so do arguments below 1e-300 at
-any order, where x / order would no longer be a normal double.
+any order, where x / order would no longer be a normal double. x = 0
+takes its closed form at every order: ln I_0(0) = 0, -inf above.
 
-The Q function is `math.erfc`, element by element, and its inverse
-starts from Wichura's algorithm AS241 (Appl. Statist. 37, 1988) in
-plain `math` and takes one Newton step on Q. Both therefore follow the
-platform's libm rather than a scipy version. glibc's `erfc` is within
-3.1e-16 relative of 40-digit values for x / sqrt(2), x from 0.5 to
-37.5; other libms were not checked.
+The Q function is `math.erfc`, element by element. Its inverse starts
+from the stdlib's `statistics.NormalDist().inv_cdf`, which is Wichura's
+AS241 (Appl. Statist. 37, 1988), and takes one Newton step on Q. Both
+follow the platform's libm rather than a scipy version, and Q^-1 also
+CPython's build of AS241. glibc's `erfc` is within 3.1e-16 relative of
+40-digit values for x / sqrt(2), x from 0.5 to 37.5; other libms were
+not checked.
 
-This is the one module that takes numerics from scipy, and it loads
-`scipy.special` only on the first call that needs it: the exact series
-in `ber_theory` (`betainc`, `gammaln` and `pdtr` from here) and Bessel
-orders below 50. Importing the package loads no scipy module, and
-neither do `replicate`, `compare` and `coverage --engine gaussian`
-unless an element takes the `ive` path; `theory`, `simulate` (its
-theory rows) and `coverage --engine exact` do.
+This is the one module that takes numerics from scipy. Each import
+waits for its first use: `scipy.special` for the exact series in
+`ber_theory` (`betainc`, `gammaln` and `pdtr` from here) and Bessel
+orders below 50 at x > 0, `statistics` (which loads `fractions`) for
+`q_inv`, and `fractions` for Bessel orders of 50 and above. Importing
+the package loads no scipy module, and neither do `replicate`,
+`compare` and `coverage --engine gaussian` unless an element takes the
+`ive` path; `theory`, `simulate` (its theory rows) and
+`coverage --engine exact` do.
 """
 
 from __future__ import annotations
@@ -78,8 +82,8 @@ def _log_iv_series(order, x):
 
 
 def _log_iv_scaled(v, x):
-    # ln ive(v, x) + x, and the ascending series where ive underflows
-    out = np.full(v.shape, -np.inf)
+    # at x > 0: ln ive(v, x) + x, or the ascending series where it is 0
+    out = np.empty(v.shape)
     if not v.size:
         # nothing below the expansion's range: scipy stays unloaded
         return out
@@ -87,9 +91,8 @@ def _log_iv_scaled(v, x):
     scaled = ive(v, x)
     ok = scaled > 0.0
     out[ok] = np.log(scaled[ok]) + x[ok]
-    need = (~ok) & (x > 0.0)
-    if np.any(need):
-        out[need] = _log_iv_series(v[need], x[need])
+    if not np.all(ok):
+        out[~ok] = _log_iv_series(v[~ok], x[~ok])
     return out
 
 
@@ -165,11 +168,11 @@ def log_bessel_i(order, x):
     # one pass per distinct large order, then one for the rest, so
     # every element sees the same operations whatever shares its call
     debye = (v >= _DEBYE_MIN_ORDER) & (xx >= _DEBYE_MIN_X)
-    out = np.empty(v.shape)
+    out = np.where(v == 0.0, 0.0, -np.inf)  # ln I_v(0), a closed form
     for nu in np.unique(v[debye]):
         sel = debye & (v == nu)
         out[sel] = _log_iv_debye_one(float(nu), xx[sel])
-    rest = ~debye
+    rest = ~debye & (xx > 0.0)
     out[rest] = _log_iv_scaled(v[rest], xx[rest])
     return float(out[0]) if scalar else out
 
@@ -190,69 +193,17 @@ def _elementwise(f, a):
                        a.size).reshape(a.shape)
 
 
-def _horner(coef, r):
-    # coef highest power first, the nesting of ((c0 r + c1) r + c2) ...
-    acc = coef[0]
-    for c in coef[1:]:
-        acc = acc * r + c
-    return acc
-
-
-# AS241's PPND16 coefficients, highest power first: A/B for
-# |p - 1/2| <= 0.425, C/D for r = sqrt(-ln min(p, 1 - p)) <= 5 (taken
-# at r - 1.6), E/F beyond (at r - 5)
-_AS241_A = (2.5090809287301226727e+3, 3.3430575583588128105e+4,
-            6.7265770927008700853e+4, 4.5921953931549871457e+4,
-            1.3731693765509461125e+4, 1.9715909503065514427e+3,
-            1.3314166789178437745e+2, 3.3871328727963666080e+0)
-_AS241_B = (5.2264952788528545610e+3, 2.8729085735721942674e+4,
-            3.9307895800092710610e+4, 2.1213794301586595867e+4,
-            5.3941960214247511077e+3, 6.8718700749205790830e+2,
-            4.2313330701600911252e+1, 1.0)
-_AS241_C = (7.7454501427834140764e-4, 2.2723844989269184583e-2,
-            2.4178072517745061177e-1, 1.2704582524523683826e+0,
-            3.6478483247632046050e+0, 5.7694972214606914055e+0,
-            4.6303378461565452959e+0, 1.4234371107496835773e+0)
-_AS241_D = (1.0507500716444168432e-9, 5.4759380849953449460e-4,
-            1.5198666563616457197e-2, 1.4810397642748007459e-1,
-            6.8976733498510000455e-1, 1.6763848301838038494e+0,
-            2.0531916266377588219e+0, 1.0)
-_AS241_E = (2.0103343992922881327e-7, 2.7115555687434875782e-5,
-            1.2426609473880784386e-3, 2.6532189526576123093e-2,
-            2.9656057182850489123e-1, 1.7848265399172913358e+0,
-            5.4637849111641143699e+0, 6.6579046435011037772e+0)
-_AS241_F = (2.0442631033899397856e-15, 1.4215117583164458887e-7,
-            1.8463183175100546818e-5, 7.8686913114561325910e-4,
-            1.4875361290850614853e-2, 1.3692988092273580531e-1,
-            5.9983220655588793769e-1, 1.0)
-
-
-def _as241(p):
-    """Standard normal quantile x with Pr(N(0,1) <= x) = p, 0 < p < 1,
-    by AS241 (PPND16), good to about 1e-16 relative."""
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return _horner(_AS241_A, r) * q / _horner(_AS241_B, r)
-    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
-    if r <= 5.0:
-        r -= 1.6
-        x = _horner(_AS241_C, r) / _horner(_AS241_D, r)
-    else:
-        r -= 5.0
-        x = _horner(_AS241_E, r) / _horner(_AS241_F, r)
-    return -x if q < 0.0 else x
-
-
 def q_inv(p):
     """Inverse of q_func on (0, 1)."""
     p_in = np.asarray(p, dtype=float)
     if not np.all((p_in > 0.0) & (p_in < 1.0)):
         raise ValueError("q_inv requires 0 < p < 1")
-    z = -_elementwise(_as241, p_in)
+    from statistics import NormalDist
+
+    z = -_elementwise(NormalDist().inv_cdf, p_in)
     # One Newton step pins the q_func round trip to machine precision.
-    # Skipped where the normal pdf underflows (|z| > ~38): AS241 alone
-    # is already as good as doubles allow out there.
+    # Skipped where the normal pdf underflows (|z| > ~38): the start
+    # alone is already as good as doubles allow out there.
     pdf = np.exp(-0.5 * z * z - 0.5 * _LOG_2PI)
     step = np.where(pdf > 0.0, (q_func(z) - p_in) / np.maximum(pdf, 1e-300), 0.0)
     z = z + step

@@ -1,7 +1,8 @@
 """The public API: ambcsim.__all__ and the package namespace agree,
-importing the command line stays light, scipy's numerics enter
-through specfun alone and load only where the exact series or a low
-Bessel order needs them, and the two BD state gains have one home."""
+importing the command line stays light (what a run needs beyond it
+is imported on first use), scipy's numerics enter through specfun
+alone and load only where the exact series or a low Bessel order
+needs them, and the two BD state gains have one home."""
 import ast
 import os
 import subprocess
@@ -40,13 +41,45 @@ def _loaded(*roots):
 
 
 def test_cli_import_loads_neither_fractions_nor_scipy_stats():
-    # the large-order Bessel polynomials import fractions on first use,
-    # and specfun imports scipy.special on first use; a module-level
-    # import of either, or of any scipy module elsewhere, would slow
-    # every process start
-    out = _run_probe("import sys, ambcsim.cli; "
-                     f"print({_loaded('fractions', 'scipy')})")
+    # imported on first use: statistics (and so fractions) by q_inv,
+    # fractions by the large-order Bessel polynomials, scipy.special by
+    # specfun, the process pools by --threads above 1; a module-level
+    # import of any of them would slow every process start
+    roots = ("statistics", "fractions", "scipy", "concurrent",
+             "multiprocessing")
+    out = _run_probe(f"import sys, ambcsim.cli; print({_loaded(*roots)})")
     assert out.strip() == "[]"
+
+
+def _load_time_imports(path):
+    """What a source file imports when it is loaded, outside any
+    function body: module names, and module.name for each name taken
+    from a module."""
+    found = []
+    todo = list(ast.parse(path.read_text(), str(path)).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found += [f"{node.module}.{a.name}" for a in node.names]
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_rarely_used_modules_are_imported_on_first_use():
+    # the installed-package metadata, and the process pools that only
+    # --threads above 1 needs, are never imported at module level
+    lazy = ("importlib.metadata", "concurrent.futures", "multiprocessing")
+    found = {}
+    for path in sorted((_SRC / "ambcsim").glob("*.py")):
+        hits = [m for m in _load_time_imports(path)
+                if any(m == r or m.startswith(r + ".") for r in lazy)]
+        if hits:
+            found[path.name] = hits
+    assert found == {}
 
 
 def test_only_the_exact_series_loads_scipy():
@@ -84,7 +117,7 @@ def _scipy_imports(path):
 
 def test_scipy_numerics_enter_through_specfun_only():
     # specfun may import from scipy.special; nothing else touches scipy,
-    # and cli reads its version from the package metadata
+    # and cli reads the version of a loaded scipy from sys.modules
     allowed = {"specfun": {("from", "scipy.special")}}
     stray = {}
     for path in sorted((_SRC / "ambcsim").glob("*.py")):

@@ -29,6 +29,7 @@ from ambcsim.cli import (
 from ambcsim.coverage import CoverageScenario
 from ambcsim.montecarlo import SweepConfig, flat_channel, measurement_config
 from oracles import EXACT_BER_SWEEP
+from test_api import _run_probe
 
 
 def read_csv(path):
@@ -419,6 +420,23 @@ class TestManifestEnvironment:
             [f for f in cli.__cpu_dispatch__ if cli.__cpu_features__[f]]
         assert (tmp_path / "unset" / "simulate.csv").read_bytes() == \
             (tmp_path / "set" / "simulate.csv").read_bytes()
+
+    def test_scipy_version_only_when_loaded(self):
+        # in a fresh process: replicate loads no scipy and records null,
+        # simulate's theory rows load it and record its version
+        scipy = pytest.importorskip("scipy")
+        runs = [["replicate", "--gamma-b", "5", "--symbols", "202"],
+                ["simulate", "--gamma", "6", "--symbols", "2500"]]
+        probe = ("import json, os, tempfile, ambcsim.cli as c\n"
+                 f"for argv in {runs!r}:\n"
+                 "    with tempfile.TemporaryDirectory() as d:\n"
+                 "        assert c.main(argv + ['--threads', '1',\n"
+                 "                              '--out-dir', d]) == 0\n"
+                 "        with open(os.path.join(d, 'run_manifest.json')) as f:\n"
+                 "            env = json.load(f)['environment']\n"
+                 "    print(json.dumps(env['scipy']))\n")
+        assert _run_probe(probe).splitlines() == \
+            ["null", json.dumps(scipy.__version__)]
 
 
 class TestSimulateCommand:
