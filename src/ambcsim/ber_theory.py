@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import _gamma_b
+from .channel import _gamma_b, _two_gamma_b
 from .specfun import betainc, gammaln, pdtr, q_func, q_inv
 
 
@@ -78,8 +78,8 @@ class DetectionParams:
     @property
     def gamma_b(self):
         """Per-bit SNR of channel.snr_per_bit at these gains."""
-        return _gamma_b(self.n_chips, self.m_sc, self.h_on_sq, self.h_off_sq,
-                        self.noise_power)
+        return _gamma_b(self.n_chips * self.m_sc, self.h_on_sq,
+                        self.h_off_sq, self.noise_power)
 
 
 def _window_overflow():
@@ -334,7 +334,9 @@ def exact_ber(p: DetectionParams, tables: dict | None = None):
 
 
 def gaussian_ber(p: DetectionParams):
-    """Large-m_sc asymptote of exact_ber: Q(sqrt(2 p.gamma_b))."""
+    """Large-m_sc asymptote of exact_ber: Q(sqrt(2 p.gamma_b)). Doubling
+    gamma_b is exact, so this is Q of the square root of
+    channel._two_gamma_b."""
     return float(q_func(np.sqrt(2.0 * p.gamma_b)))
 
 
@@ -393,14 +395,14 @@ def ber_vs_iota(iota, gamma, m_sc, n_chips, engine: str = "exact"):
 def _gaussian_ber_u(u, gamma, nm):
     """Gaussian-engine BER at u = |1+iota|^2 and link SNR gamma for
     nm = n_chips m_sc, elementwise on arrays:
-    Q(sqrt(nm (gamma (u - 1))^2 / (4 (1 + gamma (u + 1))))), even in the
-    gain gap. np.square gives scalar and array inputs the same bits."""
-    # a huge gamma overflows the numerator, then the denominator too:
-    # inf/inf means +inf
+    Q(sqrt(nm (gamma (u - 1))^2 / (4 (1 + gamma (u + 1))))), the
+    channel._two_gamma_b of gap gamma (u - 1), total 1 + gamma (u + 1)
+    and unit noise power; even in the gain gap."""
+    # a huge gamma overflows the gap, then the total too; passed unnamed,
+    # the two are freed before q_func makes its own temporaries
     with np.errstate(over="ignore", invalid="ignore"):
-        x = (nm * np.square(gamma * (u - 1.0))
-             / (4.0 * (1.0 + gamma * (u + 1.0))))
-    return q_func(np.sqrt(np.where(np.isnan(x), np.inf, x)))
+        x = _two_gamma_b(nm, gamma * (u - 1.0), 1.0 + gamma * (u + 1.0), 1.0)
+    return q_func(np.sqrt(x))
 
 
 def iota_magnitude_for_target(ber_target, gamma, m_sc, n_chips):

@@ -40,8 +40,8 @@ except ImportError:  # numpy 1.x
                                               __cpu_features__)
 
 from . import __version__
-from .ber_theory import (SeriesError, _params_for_u, exact_ber,
-                         fsk_coherent_ber, gaussian_ber)
+from .ber_theory import (SeriesError, _gaussian_ber_u, _params_for_u,
+                         exact_ber, fsk_coherent_ber)
 from .channel import from_db, to_db
 from .coverage import (DEFAULT_LEVELS, CoverageScenario, compute_ber_grid,
                        contour_export, range_estimate)
@@ -346,9 +346,11 @@ def cmd_theory(args):
     cfg = _sweep_config_from_args(args)
     for gdb in args.gamma:
         if args.iota is not None:
-            p = _params_for_u(abs(1.0 + args.iota) ** 2, from_db(gdb),
-                              args.msc, args.n)
-            gamma_b, pe, pg = p.gamma_b, exact_ber(p), gaussian_ber(p)
+            # the Gaussian BER of u that the map and ber_vs_iota give
+            u, gamma = abs(1.0 + args.iota) ** 2, from_db(gdb)
+            p = _params_for_u(u, gamma, args.msc, args.n)
+            gamma_b, pe = p.gamma_b, exact_ber(p)
+            pg = _gaussian_ber_u(u, gamma, args.msc * args.n)
         else:
             gamma_b, pe, pg = _theory_bers(cfg, float(gdb))
         rows.append((float(gdb), to_db(gamma_b), pe, pg,

@@ -19,9 +19,11 @@ M the subcarrier count):
 The Power rule's mu and V are the energy statistic's mean and variance,
 written once in lte_grid._energy_moments, which the simulator's
 Gaussian y-model and the replicate sync threshold also use. The
-Gaussian BER formulas live in ber_theory: gaussian_ber for the theory
-rows (for FSK, the antipodal problem at N/2 chips) and _gaussian_ber_u
-for a BER of u = |1+iota|^2.
+per-bit SNR and the Gaussian BERs share one link budget,
+channel._two_gamma_b. The Gaussian BERs live in ber_theory:
+gaussian_ber, Q(sqrt(2 gamma_b)), for the theory rows (for FSK, the
+antipodal problem at N/2 chips), and _gaussian_ber_u for the BER of
+u = |1+iota|^2 in the coverage map, ber_vs_iota and theory --iota.
 
 BesselMap is the exact likelihood-ratio rule for the noncentral
 chi-square law of y and serves as the referee for the other three.

@@ -155,8 +155,7 @@ def _theory_bers(cfg: SweepConfig, gamma_db: float):
                                           cfg.m_sc, cfg.n_chips), cfg.scheme)
     pe, pg = exact_ber(p), gaussian_ber(p)
     if cfg.scheme == "DBPSK":
-        pe = 2.0 * pe * (1.0 - pe)
-        pg = 2.0 * pg * (1.0 - pg)
+        pe, pg = (2.0 * b * (1.0 - b) for b in (pe, pg))
     return gamma_b, pe, pg
 
 
@@ -243,10 +242,11 @@ def run_ber_sweep(cfg: SweepConfig, threads: int = 1):
     and config regardless of threads."""
     errors, _ = _run_shards(cfg, threads, "chi2")
     points = []
-    for pi, gdb in enumerate(cfg.snr_grid_db):
-        gdb = float(gdb)
-        points.extend(theory_points(cfg, gdb))
-        points.extend(_sim_points(cfg, gdb, errors[pi]))
+    for pi, gdb in enumerate(map(float, cfg.snr_grid_db)):
+        theory = theory_points(cfg, gdb)
+        # the simulation rows take the theory rows' per-bit SNR
+        points += theory + _sim_points(cfg, gdb, theory[0].gamma_b_db,
+                                       errors[pi])
     return points
 
 
@@ -260,11 +260,9 @@ def _sim_point(gamma_db: float, gamma_b_db: float, receiver: str, k: int,
                     source="simulation", ci_low=lo, ci_high=hi)
 
 
-def _sim_points(cfg: SweepConfig, gdb: float, errors_row):
-    """One simulation BerPoint per detector at SNR point gdb, from its
-    error counts over cfg.n_symbols_per_point bits."""
-    ch = channel_for_snr(cfg, gdb)
-    gb_db = to_db(snr_per_bit(ch, cfg.n_chips, cfg.m_sc))
+def _sim_points(cfg: SweepConfig, gdb: float, gb_db: float, errors_row):
+    """One simulation BerPoint per detector at SNR point gdb, per-bit SNR
+    gb_db, from its error counts over cfg.n_symbols_per_point bits."""
     return [_sim_point(gdb, gb_db, det, int(k), cfg.n_symbols_per_point)
             for det, k in zip(cfg.detectors, errors_row)]
 
@@ -283,9 +281,10 @@ def compare_receivers(cfg: SweepConfig, y_model: str = "chi2",
     n = cfg.n_symbols_per_point
     points = []
     rows = []
-    for pi, gdb in enumerate(cfg.snr_grid_db):
-        gdb = float(gdb)
-        points.extend(_sim_points(cfg, gdb, errors[pi]))
+    for pi, gdb in enumerate(map(float, cfg.snr_grid_db)):
+        ch = channel_for_snr(cfg, gdb)
+        gb_db = to_db(snr_per_bit(ch, cfg.n_chips, cfg.m_sc))
+        points.extend(_sim_points(cfg, gdb, gb_db, errors[pi]))
         pairs = itertools.combinations(cfg.detectors, 2)
         rows.extend(DisagreementCount(
             gamma_db=gdb, receiver_a=a, receiver_b=b,
@@ -326,10 +325,10 @@ def _replicate_point(cfg: SweepConfig, pi: int, gb_db: float):
     n = cfg.n_chips
     n_frames = max(1, cfg.n_symbols_per_point // FRAME_BITS)
     tail = SYNC_BITS.size * n
-    noise = _noise_for_gamma_b(cfg.channel, n, cfg.m_sc, from_db(gb_db))
+    on, off = _state_powers(cfg.channel)
+    noise = _noise_for_gamma_b(n * cfg.m_sc, on, off, from_db(gb_db))
     ch = replace(cfg.channel, noise_power=noise)
     gains = _state_gains(ch)
-    on, off = _state_powers(ch)
     # the statistic's mean halfway between the two states
     mid, _ = _energy_moments(0.5 * (on + off), cfg.m_sc, noise)
     sgn = 1.0 if on >= off else -1.0

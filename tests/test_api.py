@@ -3,12 +3,15 @@ importing the command line stays light (what a run needs beyond it
 is imported on first use), scipy's numerics enter through specfun
 alone and load only where the exact series or a low Bessel order
 needs them, each shared formula has one home, and the counts of
-options, dataclass fields and public names change only on purpose."""
+options, dataclass fields, public names and code lines change only on
+purpose."""
 import argparse
 import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -153,8 +156,15 @@ _ONE_HOME = {
     "composite_gain": ("channel", {"channel": 2}),
     # no Gaussian tail outside the BER formulas and q_inv's Newton step
     "q_func": ("specfun", {"ber_theory": 3, "specfun": 1}),
-    # the Gaussian BER of u = |1+iota|^2: ber_vs_iota and the map
-    "_gaussian_ber_u": ("ber_theory", {"ber_theory": 1, "coverage": 1}),
+    # the Gaussian BER of u = |1+iota|^2: ber_vs_iota, the map and the
+    # ber_gaussian column of theory --iota
+    "_gaussian_ber_u": ("ber_theory", {"ber_theory": 1, "cli": 1,
+                                       "coverage": 1}),
+    # 2 gamma_b, the Gaussian link budget: half of it is the per-bit SNR
+    # of snr_per_bit and DetectionParams.gamma_b, Q of its root the
+    # Gaussian BER of u
+    "_two_gamma_b": ("channel", {"ber_theory": 1, "channel": 1}),
+    "_gamma_b": ("channel", {"ber_theory": 1, "channel": 1}),
     # the energy statistic's mean and variance: the Power rule, the
     # Gaussian y-model and the replicate sync threshold
     "_energy_moments": ("lte_grid", {"modem": 1, "montecarlo": 2}),
@@ -211,3 +221,37 @@ def test_knob_counts_are_pinned():
         "a knob count changed: if the change is meant, update _KNOBS in "
         "tests/test_api.py to the new number and give the reason in "
         "CHANGES.md")
+
+
+# Lines of code in src/: non-blank lines outside comments and
+# docstrings, as tokenize sees them.
+_CODE_LINES = 1488
+
+_LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENDMARKER}
+
+
+def _code_lines(text):
+    """Numbers of the lines that hold a token of code: a string that is
+    a statement of its own (a docstring) does not count, and a token
+    that spans lines counts on each of them."""
+    toks = [t for t in tokenize.generate_tokens(io.StringIO(text).readline)
+            if t.type not in (tokenize.NL, tokenize.COMMENT)]
+    lines = set()
+    for prev, tok, nxt in zip([None] + toks, toks, toks[1:] + [None]):
+        if tok.type in _LAYOUT or (
+                tok.type == tokenize.STRING
+                and (prev is None or prev.type in _LAYOUT)
+                and nxt.type in (tokenize.NEWLINE, tokenize.ENDMARKER)):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return lines
+
+
+def test_code_lines_are_pinned():
+    got = sum(len(_code_lines(path.read_text()))
+              for path in sorted((_SRC / "ambcsim").glob("*.py")))
+    assert got == _CODE_LINES, (
+        "the code-line count of src/ changed: if the change is meant, "
+        "update _CODE_LINES in tests/test_api.py to the new number and "
+        "give the reason in CHANGES.md")

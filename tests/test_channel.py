@@ -11,6 +11,7 @@ from ambcsim.channel import (
     _noise_for_gamma_b,
     _state_gains,
     _state_powers,
+    _two_gamma_b,
     composite_gain,
     from_db,
     fspl_gain,
@@ -218,9 +219,50 @@ class TestSnr:
         ch = measurement_config((5.0,)).channel
         for gb_db in parse_grid("3:0.25:16"):
             gb = from_db(gb_db)
-            noise = _noise_for_gamma_b(ch, 20, 288, gb)
+            noise = _noise_for_gamma_b(20 * 288, *_state_powers(ch), gb)
             got = snr_per_bit(replace(ch, noise_power=noise), 20, 288)
             assert got == pytest.approx(gb, rel=1e-12)
+
+    def test_noise_root_meets_its_bound(self):
+        # the docstring's 1.3e-15 against the 50-digit root at the same
+        # double on, off, over 0-300 dB on the measurement channel; the
+        # form -s + sqrt(s^2 + t) cancels, is off by 8e-7 at 100 dB and
+        # gives 0.0 from 200 dB
+        mp = pytest.importorskip("mpmath")
+        ch = measurement_config((5.0,)).channel
+        on, off = _state_powers(ch)
+        with mp.workdps(50):
+            s, d = mp.mpf(on) + mp.mpf(off), mp.mpf(on) - mp.mpf(off)
+            for gb_db in np.arange(0.0, 300.5, 2.5):
+                gb = from_db(gb_db)
+                t = 20 * 288 * d * d / (2 * mp.mpf(gb))
+                ref = t / (2 * (s + mp.sqrt(s * s + t)))
+                got = _noise_for_gamma_b(20 * 288, on, off, gb)
+                assert abs(mp.mpf(got) / ref - 1) < 1.3e-15, gb_db
+
+    def test_two_gamma_b_meets_its_bound(self):
+        # the docstring's 4.5e-16 against nm gap^2 / (4 s2 total) at 50
+        # digits, at the same double arguments: the map's gap gamma (u - 1)
+        # and total 1 + gamma (u + 1) at unit noise, constructive (u > 1)
+        # and destructive (u < 1), gamma up to 300 dB, and snr_per_bit's
+        # on - off and s2 + on + off at other noise powers
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(26)
+        with mp.workdps(50):
+            for _ in range(2000):
+                gamma = 10.0 ** rng.uniform(-3.0, 30.0)
+                u = rng.choice([rng.uniform(0.0, 1.0), rng.uniform(1.0, 4.0),
+                                1.0 + rng.uniform(-1e-6, 1e-6)])
+                nm = int(rng.choice([2, 1152, 5760]))
+                on, off = gamma * u, gamma
+                for gap, total, s2 in (
+                        (gamma * (u - 1.0), 1.0 + gamma * (u + 1.0), 1.0),
+                        (on - off, 0.3 + on + off, 0.3)):
+                    got = _two_gamma_b(nm, gap, total, s2)
+                    ref = nm * mp.mpf(gap) ** 2 / (
+                        4 * mp.mpf(s2) * mp.mpf(total))
+                    assert abs(mp.mpf(float(got)) - ref) <= 4.5e-16 * ref
+        assert _two_gamma_b(2, np.inf, np.inf, 1.0) == np.inf
 
     def test_state_gains_are_the_two_composite_gains(self):
         # bit for bit, reflect then absorb, on a destructive channel and

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from ambcsim import cli, montecarlo
+from ambcsim.ber_theory import _gaussian_ber_u
+from ambcsim.channel import from_db
 from ambcsim.cli import (
     _COMMANDS,
     _records,
@@ -317,7 +319,8 @@ class TestTheoryCommand:
 
     def test_each_row_builds_its_channel_once(self, tmp_path, monkeypatch):
         # gamma_b_db, the two BERs and ber_fsk of a row share one channel
-        # and one per-bit SNR
+        # and one per-bit SNR; so do a simulate point's theory and
+        # simulation rows, after its one shard has built its own channel
         calls = []
         for mod in (montecarlo, cli):
             for name in ("channel_for_snr", "snr_per_bit"):
@@ -328,6 +331,23 @@ class TestTheoryCommand:
         assert main(["theory", "--gamma", "0:5:10", "--out-dir",
                      str(tmp_path)]) == 0
         assert calls == ["channel_for_snr", "snr_per_bit"] * 3
+        calls.clear()
+        assert main(["simulate", "--gamma", "0:5:10", "--symbols", "100",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert calls == (["channel_for_snr"] * 3
+                         + ["channel_for_snr", "snr_per_bit"] * 3)
+
+    @pytest.mark.parametrize("iota", ["0.03", "-0.0253", "0.02+0.05j"])
+    def test_iota_gaussian_column_is_the_map_formula(self, iota):
+        # bit for bit, the Gaussian BER of u = |1+iota|^2 that the
+        # coverage map and ber_vs_iota give
+        args = build_parser()[0].parse_args(
+            ["theory", "--gamma", "0:2.5:20", "--iota", iota, "--msc", "12"])
+        tables, _ = cli.cmd_theory(args)
+        gamma_db, _, _, ber_gaussian, _ = tables["theory.csv"][1][0]
+        u = abs(1.0 + complex(iota)) ** 2
+        assert list(ber_gaussian) == [_gaussian_ber_u(u, from_db(g), 48)
+                                      for g in gamma_db]
 
     def test_zero_iota_gives_coin_flip_row(self, tmp_path):
         rc = main(["theory", "--gamma", "5", "--iota", "0",
@@ -576,6 +596,18 @@ class TestReplicateCommand:
         assert len(packets) == 3
         _, rows = read_csv(tmp_path / "a" / "replicate.csv")
         assert all(float(r["gamma_b_db"]) == 8.0 for r in rows)
+
+    def test_huge_gamma_b_runs(self, tmp_path):
+        # at 400 dB the noise power is about 1e-45; a noise root that
+        # cancels gives 0.0 there, which ChannelSet rejects
+        rc = main(["replicate", "--gamma-b", "400", "--symbols", "303",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "replicate.csv")
+        assert [(r["gamma_b_db"], r["source"]) for r in rows] == [
+            ("400", "theory_gaussian"), ("400", "simulation")]
+        _, packets = read_csv(tmp_path / "packets.csv")
+        assert len(packets) == 3
 
 
 class TestUsageErrors:
