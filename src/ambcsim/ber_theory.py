@@ -379,17 +379,29 @@ def ber_vs_iota(iota, gamma, m_sc, n_chips, engine: str = "exact"):
     priors its error rate is the exact_ber of the role-swapped problem.
     The gaussian engine is already even in the gap and needs no swap.
     """
-    if not np.isfinite(iota):
-        raise ValueError("iota must be finite")
+    u = _u_of_iota(iota)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    u = abs(1.0 + iota) ** 2
     p = _params_for_u(u, gamma, m_sc, n_chips)
     if engine == "gaussian":
         return _gaussian_ber_u(u, gamma, m_sc * n_chips)
     if engine == "exact":
         return exact_ber(p)
     raise ValueError(f"unknown engine: {engine}")
+
+
+def _u_of_iota(iota):
+    """u = |1 + iota|^2; ValueError unless iota and u are finite."""
+    if not np.isfinite(iota):
+        raise ValueError("iota must be finite")
+    try:
+        with np.errstate(over="ignore"):
+            u = abs(1.0 + iota) ** 2
+    except OverflowError:  # a Python float's ** past 1.3e154
+        u = math.inf
+    if not math.isfinite(u):
+        raise ValueError("|1 + iota|^2 is outside the range of a double")
+    return u
 
 
 def _gaussian_ber_u(u, gamma, nm):

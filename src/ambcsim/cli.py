@@ -41,7 +41,7 @@ except ImportError:  # numpy 1.x
 
 from . import __version__
 from .ber_theory import (SeriesError, _gaussian_ber_u, _params_for_u,
-                         exact_ber, fsk_coherent_ber)
+                         _u_of_iota, exact_ber, fsk_coherent_ber)
 from .channel import from_db, to_db
 from .coverage import (DEFAULT_LEVELS, CoverageScenario, compute_ber_grid,
                        contour_export, range_estimate)
@@ -158,13 +158,14 @@ def parse_detectors(text: str):
     return dets
 
 
-def parse_complex(text: str):
+def parse_iota(text: str) -> complex:
+    """A complex scatter ratio whose |1 + iota|^2 is a finite double."""
     try:
         z = complex(text.replace(" ", ""))
+        _u_of_iota(z)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad complex value: {text}") from exc
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text}")
+        raise argparse.ArgumentTypeError(
+            f"bad scatter ratio {text}: {exc}") from exc
     return z
 
 
@@ -241,7 +242,7 @@ def build_parser():
     _add_link_flags(t)
     t.add_argument("--gamma", type=parse_grid, default=parse_grid("0:1:20"),
                    help="LTE SNR grid in dB, start:step:stop or list")
-    t.add_argument("--iota", type=parse_complex, default=None,
+    t.add_argument("--iota", type=parse_iota, default=None,
                    help="override the path gains with a fixed scatter ratio")
 
     s = subs.add_parser("simulate", help="Monte Carlo BER sweep")
@@ -347,7 +348,7 @@ def cmd_theory(args):
     for gdb in args.gamma:
         if args.iota is not None:
             # the Gaussian BER of u that the map and ber_vs_iota give
-            u, gamma = abs(1.0 + args.iota) ** 2, from_db(gdb)
+            u, gamma = _u_of_iota(args.iota), from_db(gdb)
             p = _params_for_u(u, gamma, args.msc, args.n)
             gamma_b, pe = p.gamma_b, exact_ber(p)
             pg = _gaussian_ber_u(u, gamma, args.msc * args.n)

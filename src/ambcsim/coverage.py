@@ -95,48 +95,74 @@ class BerGrid:
     errors: tuple = ()
 
 
-def _scatter_fields(sc: CoverageScenario):
-    """|iota| and |1+iota|^2 on the grid, plus the singularity mask."""
+# cells per band of rows in which the field and the gaussian BER are
+# evaluated: their temporaries scale with the band, not with the map
+_BAND_CELLS = 1 << 12
+
+
+def _field_bands(sc: CoverageScenario):
+    """|1+iota|^2 and the singularity mask on the grid, one band of at
+    most _BAND_CELLS cells (and at least one row) at a time: yields
+    (rows, u, bad) with rows the band's slice of y_axis."""
     x = sc.x_axis
     y = sc.y_axis
-    xx, yy = np.meshgrid(x, y)
     lam = sc.wavelength
     ue = np.asarray(sc.ue_pos, dtype=float)
     bs = np.asarray(sc.bs_pos, dtype=float)
-    d_s = np.hypot(xx - ue[0], yy - ue[1])
-    d_b = np.hypot(xx - bs[0], yy - bs[1])
+    # leg offsets along each axis; a band's legs broadcast row by column
+    sx, sy = x - ue[0], (y - ue[1])[:, None]
+    bx, by = x - bs[0], (y - bs[1])[:, None]
     d_d = sc.d_d
     # grid nodes whose cell contains the UE or BS: 1/d singularities
     half_diag = 0.5 * math.hypot(x[1] - x[0], y[1] - y[0])
-    bad = (d_s <= half_diag) | (d_b <= half_diag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amag, phase = _scatter(d_d, d_s, d_b, lam)
-        u = 1.0 + 2.0 * amag * np.cos(phase) + amag * amag
+    step = max(1, _BAND_CELLS // x.size)
+    for start in range(0, y.size, step):
+        rows = slice(start, start + step)
+        d_s = np.hypot(sx, sy[rows])
+        d_b = np.hypot(bx, by[rows])
+        bad = (d_s <= half_diag) | (d_b <= half_diag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            amag, phase = _scatter(d_d, d_s, d_b, lam)
+            u = 1.0 + 2.0 * amag * np.cos(phase) + amag * amag
+        yield rows, u, bad
+
+
+def _scatter_fields(sc: CoverageScenario):
+    """|1+iota|^2 on the whole grid, plus the singularity mask."""
+    shape = (sc.resolution, sc.resolution)
+    u = np.empty(shape)
+    bad = np.empty(shape, dtype=bool)
+    for rows, u_band, bad_band in _field_bands(sc):
+        u[rows] = u_band
+        bad[rows] = bad_band
     return u, bad
 
 
 def compute_ber_grid(sc: CoverageScenario) -> BerGrid:
     """BER over the BD-position grid.
 
-    The gaussian engine is evaluated vectorized. The exact engine runs
-    the series once per distinct u = |1+iota|^2 among the non-singular
-    cells, in increasing order with one exact_ber table dict, so
-    neighbouring u that share Poisson windows reuse their tables (at
-    most two held), and scatters the values back; a u whose series
-    fails leaves NaN in each of its cells and one (i, j, message) entry
-    per cell in errors, in row-major order, instead of aborting the
-    map.
+    The gaussian engine is evaluated vectorized, a band of rows at a
+    time, so beside ber it holds one band's u and temporaries. The
+    exact engine runs the series once per distinct u = |1+iota|^2 among
+    the non-singular cells, in increasing order with one exact_ber
+    table dict, so neighbouring u that share Poisson windows reuse
+    their tables (at most two held), and scatters the values back; a u
+    whose series fails leaves NaN in each of its cells and one (i, j,
+    message) entry per cell in errors, in row-major order, instead of
+    aborting the map.
     """
-    u, bad = _scatter_fields(sc)
     g = sc.gamma
-    ok = ~bad
-    ber = np.full(u.shape, np.nan)
+    ber = np.full((sc.resolution, sc.resolution), np.nan)
+    errors = ()
     if sc.engine == "gaussian":
-        ber[ok] = _gaussian_ber_u(u[ok], g, sc.n_chips * sc.m_sc)
-        errors = ()
+        for rows, u, bad in _field_bands(sc):
+            ok = ~bad
+            ber[rows][ok] = _gaussian_ber_u(u[ok], g, sc.n_chips * sc.m_sc)
     else:
         # BER depends on a cell only through u: one series per distinct
-        # u, scattered back to the cells
+        # u of the whole grid, scattered back to the cells
+        u, bad = _scatter_fields(sc)
+        ok = ~bad
         uniq, inv = np.unique(u[ok], return_inverse=True)
         vals = np.empty(uniq.size)
         msgs = {}
@@ -149,7 +175,6 @@ def compute_ber_grid(sc: CoverageScenario) -> BerGrid:
                 msgs[k] = str(exc)
                 vals[k] = np.nan
         ber[ok] = vals[inv]
-        errors = ()
         if msgs:
             failed = np.isin(inv, list(msgs))
             errors = tuple((i, j, msgs[k]) for (i, j), k
@@ -266,59 +291,80 @@ def contour_export(grid: BerGrid, levels=DEFAULT_LEVELS) -> list:
 
     Every cell edge has an integer id: the horizontal edge from node
     (i, j) to (i, j + 1) is i (nx - 1) + j, the vertical edge from
-    (i, j) to (i + 1, j) is ny (nx - 1) + i nx + j. Segments meeting on a shared cell edge are stitched by that id,
-    never by float coordinate matching, so loops close exactly.
+    (i, j) to (i + 1, j) is ny (nx - 1) + i nx + j. Segments meeting on
+    a shared cell edge are stitched by that id, never by float
+    coordinate matching, so loops close exactly. One level's crossings
+    are held at a time.
     Squares touching a NaN (sentinel) corner are skipped; levels the
     grid never crosses yield no lines.
     """
     out = []
-    v = grid.ber
-    x = grid.x_axis
-    y = grid.y_axis
-    ny, nx = v.shape
-    nh = ny * (nx - 1)
-    finite = np.isfinite(v)
+    finite = np.isfinite(grid.ber)
     ok = (finite[:-1, :-1] & finite[:-1, 1:]
           & finite[1:, 1:] & finite[1:, :-1])
     for level in levels:
         if not 0.0 < level < 0.5:
             raise ValueError("contour levels must be in (0, 0.5)")
-        inside = np.where(finite, v > level, False)
-        case = (inside[:-1, :-1] + 2 * inside[:-1, 1:]
-                + 4 * inside[1:, 1:] + 8 * inside[1:, :-1]).astype(np.int8)
-        case[~ok] = 0
-        # crossing cells in row-major order, their pairs in table order
-        ci, cj = np.nonzero((case != 0) & (case != 15))
-        c = case[ci, cj]
-        sad = np.flatnonzero((c == 5) | (c == 10))
-        si, sj = ci[sad], cj[sad]
-        center = 0.25 * (v[si, sj] + v[si, sj + 1]
-                         + v[si + 1, sj + 1] + v[si + 1, sj])
-        up = sad[center > level]
-        c[up] = np.where(c[up] == 5, 16, 17)
-        hid = ci * (nx - 1) + cj
-        vid = nh + ci * nx + cj
-        ids = np.stack((hid, vid + 1, hid + nx - 1, vid))
-        pairs = _MS_PAIRS[c].reshape(-1, 2)
-        cell = np.arange(pairs.shape[0]) // 2
-        keep = pairs[:, 0] >= 0
-        segs = ids[pairs[keep], cell[keep, None]]
-        # interpolate each crossed edge once, from node (i, j) to (ib, jb)
-        edge, first, node = np.unique(segs.ravel(), return_index=True,
-                                      return_inverse=True)
-        horiz = edge < nh
-        i, j = np.divmod(np.where(horiz, edge, edge - nh),
-                         np.where(horiz, nx - 1, nx))
-        ib = i + ~horiz
-        jb = j + horiz
-        va = v[i, j]
-        vb = v[ib, jb]
-        t = np.where(vb == va, 0.5, (level - va) / (vb - va))
-        pts = np.column_stack((x[j] + t * (x[jb] - x[j]),
-                               y[i] + t * (y[ib] - y[i])))
-        for path in _stitch(node.reshape(-1, 2), first):
+        # the level's case codes, segments and unique temporaries are
+        # freed before stitching
+        node, first, pts = _crossings(grid, ok, level)
+        for path in _stitch(node, first):
             out.append(ContourLine(level=float(level), points=pts[path]))
     return out
+
+
+def _crossings(grid, ok, level):
+    """One level's marching-squares segments (node, first) in _stitch's
+    form, and pts[k], the interpolated (x, y) of crossed edge node k.
+    ok marks the squares with four finite corners."""
+    v = grid.ber
+    x = grid.x_axis
+    y = grid.y_axis
+    ny, nx = v.shape
+    nh = ny * (nx - 1)
+    # interpolate each crossed edge once, from node (i, j) to (ib, jb)
+    edge, first, node = np.unique(_segments(v, ok, level).ravel(),
+                                  return_index=True, return_inverse=True)
+    horiz = edge < nh
+    i, j = np.divmod(np.where(horiz, edge, edge - nh),
+                     np.where(horiz, nx - 1, nx))
+    ib = i + ~horiz
+    jb = j + horiz
+    va = v[i, j]
+    vb = v[ib, jb]
+    t = np.where(vb == va, 0.5, (level - va) / (vb - va))
+    pts = np.column_stack((x[j] + t * (x[jb] - x[j]),
+                           y[i] + t * (y[ib] - y[i])))
+    return node.reshape(-1, 2), first, pts
+
+
+def _segments(v, ok, level):
+    """Edge ids of the level's marching-squares segments, one row per
+    segment: crossing cells in row-major order, each cell's pairs in
+    table order. Squares outside ok have case 0."""
+    ny, nx = v.shape
+    nh = ny * (nx - 1)
+    # a NaN corner compares False, and its square is masked below
+    inside = v > level
+    case = (inside[:-1, :-1] + 2 * inside[:-1, 1:]
+            + 4 * inside[1:, 1:] + 8 * inside[1:, :-1]).astype(np.int8)
+    case[~ok] = 0
+    # crossing cells in row-major order, their pairs in table order
+    ci, cj = np.nonzero((case != 0) & (case != 15))
+    c = case[ci, cj]
+    sad = np.flatnonzero((c == 5) | (c == 10))
+    si, sj = ci[sad], cj[sad]
+    center = 0.25 * (v[si, sj] + v[si, sj + 1]
+                     + v[si + 1, sj + 1] + v[si + 1, sj])
+    up = sad[center > level]
+    c[up] = np.where(c[up] == 5, 16, 17)
+    hid = ci * (nx - 1) + cj
+    vid = nh + ci * nx + cj
+    ids = np.stack((hid, vid + 1, hid + nx - 1, vid))
+    pairs = _MS_PAIRS[c].reshape(-1, 2)
+    cell = np.arange(pairs.shape[0]) // 2
+    keep = pairs[:, 0] >= 0
+    return ids[pairs[keep], cell[keep, None]]
 
 
 def _stitch(segs, first):

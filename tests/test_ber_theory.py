@@ -555,6 +555,10 @@ class TestBerVsIota:
             ber_vs_iota(0.1, 0.0, 288, 4)
         with pytest.raises(ValueError):
             ber_vs_iota(0.1, 10.0, 288, 4, engine="magic")
+        # |1 + iota|^2 past a double: a Python float's ** 2 overflows
+        for iota in (1e200, 1e154 + 1e154j, np.complex128(1e200)):
+            with pytest.raises(ValueError, match="range of a double"):
+                ber_vs_iota(iota, 10.0, 288, 4, engine="gaussian")
 
 
 class TestIotaTarget:

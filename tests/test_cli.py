@@ -21,7 +21,7 @@ from ambcsim.cli import (
     build_parser,
     load_config,
     main,
-    parse_complex,
+    parse_iota,
     parse_detectors,
     parse_grid,
     parse_levels,
@@ -77,10 +77,11 @@ class TestParsers:
             parse_detectors("Correlation,Psychic")
 
     def test_complex(self):
-        assert parse_complex("0.1+0.2j") == 0.1 + 0.2j
-        assert parse_complex("-1") == -1.0 + 0.0j
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_complex("one")
+        assert parse_iota("0.1+0.2j") == 0.1 + 0.2j
+        assert parse_iota("-1") == -1.0 + 0.0j
+        for bad in ("one", "nan", "1e200", "1e154+1e154j"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_iota(bad)
 
 
 class TestConfigFile:
@@ -625,3 +626,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             main([])
         assert e.value.code == 2
+
+    def test_iota_past_a_double_names_the_flag(self, tmp_path, capsys):
+        # |1 + iota|^2 overflows a Python float's ** 2 past 1.3e154
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as e:
+            main(["theory", "--iota=1e200", "--out-dir", str(out)])
+        assert e.value.code == 2
+        assert "--iota" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())

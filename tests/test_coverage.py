@@ -210,6 +210,111 @@ class TestExactGridDedup:
         assert np.array_equal(out.ber, ref, equal_nan=True)
 
 
+def one_shot_fields(sc: CoverageScenario):
+    """The field as one grid-sized evaluation, as built before it was
+    banded, kept verbatim as the bit-level reference."""
+    x = sc.x_axis
+    y = sc.y_axis
+    xx, yy = np.meshgrid(x, y)
+    lam = sc.wavelength
+    ue = np.asarray(sc.ue_pos, dtype=float)
+    bs = np.asarray(sc.bs_pos, dtype=float)
+    d_s = np.hypot(xx - ue[0], yy - ue[1])
+    d_b = np.hypot(xx - bs[0], yy - bs[1])
+    d_d = sc.d_d
+    half_diag = 0.5 * math.hypot(x[1] - x[0], y[1] - y[0])
+    bad = (d_s <= half_diag) | (d_b <= half_diag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amag, phase = _scatter(d_d, d_s, d_b, lam)
+        u = 1.0 + 2.0 * amag * np.cos(phase) + amag * amag
+    return u, bad
+
+
+def one_shot_gaussian_ber(sc: CoverageScenario):
+    """The gaussian map in one grid-sized evaluation, the reference."""
+    u, bad = one_shot_fields(sc)
+    ok = ~bad
+    ber = np.full(u.shape, np.nan)
+    ber[ok] = ber_theory._gaussian_ber_u(u[ok], sc.gamma,
+                                         sc.n_chips * sc.m_sc)
+    return ber
+
+
+class TestBandedGrid:
+    """The field and the gaussian map are evaluated in bands of rows;
+    every operation is elementwise, so each cell keeps its bits."""
+
+    SCENARIOS = {
+        "res2": dict(resolution=2),
+        "res17": dict(resolution=17),
+        "res400": dict(resolution=400),
+        # the BS 1.2 m from an off-origin UE: two singular regions on
+        # rows far apart
+        "off-origin-bs-inside": dict(ue_pos=(0.3, -0.2), bs_pos=(1.1, 0.7),
+                                     half_span=2.0, resolution=121),
+    }
+
+    @pytest.mark.parametrize("band", [None, 5])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_bit_identical_to_one_shot(self, monkeypatch, name, band):
+        if band is not None:
+            # a few cells: one row per band
+            monkeypatch.setattr(coverage, "_BAND_CELLS", band)
+        sc = default_scenario(**self.SCENARIOS[name])
+        u, bad = _scatter_fields(sc)
+        ref_u, ref_bad = one_shot_fields(sc)
+        assert np.array_equal(bad, ref_bad)
+        assert np.array_equal(u, ref_u, equal_nan=True)
+        assert np.array_equal(compute_ber_grid(sc).ber,
+                              one_shot_gaussian_ber(sc), equal_nan=True)
+
+    def test_singular_cells_span_bands(self, monkeypatch):
+        monkeypatch.setattr(coverage, "_BAND_CELLS", 5)
+        sc = default_scenario(**self.SCENARIOS["off-origin-bs-inside"])
+        # the scenario the bit-identity test runs at one row per band
+        rows = [rows for rows, _, bad in coverage._field_bands(sc)
+                if bad.any()]
+        assert len(rows) >= 2
+
+    def test_exact_errors_keep_order_and_messages(self, monkeypatch):
+        sc = default_scenario(gamma=1e9, engine="exact",
+                              half_span=0.5, resolution=5)
+        whole = compute_ber_grid(sc)
+        monkeypatch.setattr(coverage, "_BAND_CELLS", 5)
+        banded = compute_ber_grid(sc)
+        assert len(banded.errors) > 1
+        assert banded.errors == whole.errors
+        assert np.array_equal(banded.ber, whole.ber, equal_nan=True)
+
+
+class TestMapMemory:
+    """A gaussian map holds ber and one band's u and temporaries;
+    contour_export one level's crossings at a time. Peaks are
+    tracemalloc's, after a warm-up call."""
+
+    def test_gaussian_grid_peak(self):
+        scenario = default_scenario(resolution=400)
+        compute_ber_grid(scenario)
+        tracemalloc.start()
+        try:
+            grid = compute_ber_grid(scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * grid.ber.nbytes
+
+    def test_contour_peak(self):
+        grid = compute_ber_grid(default_scenario(resolution=400))
+        contour_export(grid)
+        tracemalloc.start()
+        try:
+            contour_export(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * grid.ber.nbytes
+
+
 class TestExactTableReuse:
     """The exact map and the exact range bisection each pass one table
     dict through their exact_ber calls."""
