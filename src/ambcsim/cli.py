@@ -3,10 +3,11 @@
 Subcommands: theory | simulate | compare | coverage | replicate.
 Common flags: --seed, --config, --out-dir, --threads. A flat
 key=value config file supplies defaults; explicit flags win. Every run
-writes its CSV outputs plus a run_manifest.json recording the resolved
-configuration, seed, version, timestamps, output hashes, and the
-environment (Python and numpy versions, scipy's if loaded, numpy's
-dispatched SIMD targets, platform, CPU count, OPENBLAS_NUM_THREADS).
+writes its CSV outputs plus a run_manifest.json recording the argument
+list main parsed, the resolved configuration, seed, version,
+timestamps, output hashes, and the environment (Python and numpy
+versions, scipy's if loaded, numpy's dispatched SIMD targets,
+platform, CPU count, OPENBLAS_NUM_THREADS).
 
 Each cmd_* computes and returns its tables, a dict from CSV file name
 to (header, blocks); main alone writes them, then the manifest, so a
@@ -315,8 +316,9 @@ def _environment():
     }
 
 
-def _manifest(args, outputs, started):
+def _manifest(args, argv, outputs, started):
     doc = {
+        "argv": argv,
         "subcommand": args.subcommand,
         "config": {k: v for k, v in vars(args).items() if k != "config"},
         "seed": args.seed,
@@ -390,9 +392,8 @@ def cmd_coverage(args):
         print(f"error: {n} grid cells: {msg}", file=sys.stderr)
     lines = contour_export(grid, tuple(args.levels))
     lam = sc.wavelength
-    targets = list(args.range_targets)
     radii, status = [], 1 if grid.errors else 0
-    for target in targets:
+    for target in args.range_targets:
         try:
             radii.append(range_estimate(sc, float(target)))
         except SeriesError as exc:  # like a failed cell: NaN, exit 1
@@ -405,7 +406,7 @@ def cmd_coverage(args):
                          _contour_rows(lines)),
         "range.csv": (
             ("ber_target", "radius_m", "wavelength_m", "radius_wavelengths"),
-            [(targets, radii, [lam] * len(radii),
+            [(args.range_targets, radii, [lam] * len(radii),
               [radius / lam for radius in radii])]),
     }, status
 
@@ -447,6 +448,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
@@ -474,7 +476,7 @@ def main(argv=None) -> int:
         header, blocks = tables.pop(name)
         digest = write_csv(os.path.join(args.out_dir, name), header, blocks)
         outputs.append({"path": name, "sha256": digest})
-    _manifest(args, outputs, started)
+    _manifest(args, argv, outputs, started)
     return status
 
 

@@ -16,15 +16,20 @@ chunks of _CHUNK chips, and within a chunk all symbol phases, then all
 in-phase noise normals, then all quadrature noise normals, each as
 (chips x m_sc) in row-major order. numpy's Generator gives the same
 numbers whether such a draw is taken whole or in consecutive row
-blocks, so the path builds a chunk _BLOCK chips at a time and keeps at
-most two (chunk x m_sc) float arrays alive, with the bits of the
-one-shot formula
+blocks, so the path builds a chunk _BLOCK chips at a time and keeps one
+(chunk x m_sc) float array alive, the in-phase normals. The phases are
+drawn twice: skipped, then re-drawn block by block from a copy of the
+generator, since they are drawn first but used last. The result has
+the bits, and leaves the generator in the state, of the one-shot
+formula
 
     rx = h * exp(1j * theta) + scale * (a + 1j * b)
     y = sum_k (Re rx)^2 + (Im rx)^2.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -42,17 +47,19 @@ def energy_stream(h, m_sc: int, noise_power: float, rng, per_re: bool = False):
     unit modulus with uniformly random phases: y depends on the sequence
     only through |S_t[k]| = 1.
     """
-    if noise_power <= 0.0:
-        raise ValueError("noise_power must be positive")
+    if not (np.isfinite(noise_power) and noise_power > 0.0):
+        raise ValueError("noise_power must be positive and finite")
     if m_sc < 1:
         raise ValueError("m_sc must be positive")
     h = np.atleast_1d(np.asarray(h, dtype=complex))
+    if not np.isfinite(h).all():
+        raise ValueError("gains h must be finite")
     if per_re:
         out = np.empty(h.size)
         scale = np.sqrt(noise_power / 2.0)
         for start in range(0, h.size, _CHUNK):
-            hh = h[start:start + _CHUNK, None]
-            out[start:start + _CHUNK] = _per_re_chunk(hh, m_sc, scale, rng)
+            _per_re_chunk(h[start:start + _CHUNK, None], m_sc, scale, rng,
+                          out[start:start + _CHUNK])
         return out
     nonc = 2.0 * m_sc * np.abs(h) ** 2 / noise_power
     return (noise_power / 2.0) * rng.noncentral_chisquare(2 * m_sc, nonc)
@@ -68,26 +75,31 @@ def _energy_moments(gain_sq, m_sc: int, noise_power):
     return m_sc * (s2 + gain_sq), m_sc * (s2 * s2 + 2.0 * s2 * gain_sq)
 
 
-def _per_re_chunk(hh, m_sc: int, scale, rng):
-    """Energy of each chip in the column hh over m_sc synthesized
-    subcarriers, with noise scale per real dimension. Two (chips x m_sc)
-    arrays: `re` holds Re rx, and the phase array is overwritten block by
-    block with Im rx. Re and Im of scale * (a + 1j * b) are exactly
-    scale * a and scale * b, and complex addition is componentwise, so
-    the parts add separately."""
+def _per_re_chunk(hh, m_sc: int, scale, rng, out):
+    """Write to out the energy of each chip in the column hh over m_sc
+    synthesized subcarriers, with noise scale per real dimension.
+
+    One (chips x m_sc) array, `a`, holds the in-phase normals; the rest
+    lives a block at a time. The phases come first in the stream but
+    are needed last, beside each block's quadrature normals, so they
+    are drawn twice: skipped on rng a block at a time, then re-drawn
+    block by block from a copy of rng's bit generator taken at the
+    chunk start. Both are the same uniform draws, so rng ends where the
+    one-shot draws leave it on every bit generator. Skipping with
+    advance() or raw outputs would not: PCG64's advance drops a
+    buffered 32-bit value, an MT19937 double takes two raw outputs, and
+    not every bit generator has advance(). Re and Im of
+    scale * (a + 1j * b) are exactly scale * a and scale * b, and
+    complex addition is componentwise, so the parts add separately."""
     n = hh.shape[0]
-    im = rng.uniform(0.0, _TWO_PI, (n, m_sc))
-    re = np.empty_like(im)
+    phases = np.random.Generator(copy.deepcopy(rng.bit_generator))
     for lo in range(0, n, _BLOCK):
-        theta = im[lo:lo + _BLOCK]
-        a = rng.standard_normal(theta.shape)
-        z = hh[lo:lo + _BLOCK] * np.exp(1j * theta)
-        np.add(z.real, scale * a, out=re[lo:lo + _BLOCK])
-        theta[...] = z.imag
-    out = np.empty(n)
+        rng.uniform(0.0, _TWO_PI, (min(_BLOCK, n - lo), m_sc))
+    a = rng.standard_normal((n, m_sc))
     for lo in range(0, n, _BLOCK):
-        blk = im[lo:lo + _BLOCK]
-        blk += scale * rng.standard_normal(blk.shape)
-        out[lo:lo + _BLOCK] = np.sum(re[lo:lo + _BLOCK] ** 2 + blk ** 2,
-                                     axis=1)
-    return out
+        blk = a[lo:lo + _BLOCK]
+        z = hh[lo:lo + _BLOCK] * np.exp(
+            1j * phases.uniform(0.0, _TWO_PI, blk.shape))
+        re = z.real + scale * blk
+        im = z.imag + scale * rng.standard_normal(blk.shape)
+        out[lo:lo + _BLOCK] = np.sum(re ** 2 + im ** 2, axis=1)

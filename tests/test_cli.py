@@ -460,6 +460,42 @@ class TestManifestEnvironment:
             ["null", json.dumps(scipy.__version__)]
 
 
+class TestManifestArgv:
+    """manifest["argv"] is the argument list main parsed; running it
+    again with only --out-dir changed gives the same CSV bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--gamma", "2:3:8", "--iota", "0.1+0.2j"],
+        ["simulate", "--gamma", "4,6", "--symbols", "300", "--per-re",
+         "--detectors", "Correlation,BesselMap", "--seed", "3"],
+        ["compare", "--gamma", "5", "--realizations", "200",
+         "--y-model", "gaussian", "--seed", "2"],
+        ["coverage", "--resolution", "6", "--half-span", "0.5",
+         "--range-targets", "0.1,0.01"],
+        ["replicate", "--gamma-b", "8", "--symbols", "101", "--seed", "5"],
+    ], ids=["theory", "simulate", "compare", "coverage", "replicate"])
+    def test_rerun_from_argv_alone(self, tmp_path, argv):
+        first = argv[:1] + ["--out-dir", str(tmp_path / "first")] + argv[1:]
+        assert main(first) == 0
+        doc = json.loads((tmp_path / "first" / "run_manifest.json")
+                         .read_text())
+        assert doc["argv"] == first
+        again = list(doc["argv"])
+        again[again.index("--out-dir") + 1] = str(tmp_path / "again")
+        assert main(again) == 0
+        redo = json.loads((tmp_path / "again" / "run_manifest.json")
+                          .read_text())
+        assert redo["outputs"] == doc["outputs"]
+        assert redo["argv"] == again
+
+    def test_argv_defaults_to_the_command_line(self, tmp_path, monkeypatch):
+        argv = ["theory", "--gamma", "3", "--out-dir", str(tmp_path)]
+        monkeypatch.setattr("sys.argv", ["ambcsim"] + argv)
+        assert main() == 0
+        doc = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert doc["argv"] == argv
+
+
 class TestSimulateCommand:
     def test_rows_and_rerun_bytes(self, tmp_path):
         args = ["simulate", "--gamma", "6", "--symbols", "2500",

@@ -136,12 +136,15 @@ class TestTheoryPoints:
 
 class TestSweep:
     def test_reproducible_and_thread_invariant(self):
-        cfg = small_cfg(n_symbols_per_point=5000)
-        a = run_ber_sweep(cfg, threads=1)
-        b = run_ber_sweep(cfg, threads=1)
-        c = run_ber_sweep(cfg, threads=2)
-        assert [repr(p) for p in a] == [repr(p) for p in b]
-        assert [repr(p) for p in a] == [repr(p) for p in c]
+        # per_re=True also runs the per-subcarrier synthesis, and its
+        # generator copy, in spawned workers
+        for per_re in (False, True):
+            cfg = small_cfg(n_symbols_per_point=5000, per_re=per_re)
+            a = run_ber_sweep(cfg, threads=1)
+            b = run_ber_sweep(cfg, threads=1)
+            c = run_ber_sweep(cfg, threads=2)
+            assert [repr(p) for p in a] == [repr(p) for p in b], per_re
+            assert [repr(p) for p in a] == [repr(p) for p in c], per_re
 
     def test_matches_exact_theory(self):
         cfg = small_cfg(n_symbols_per_point=10000)
