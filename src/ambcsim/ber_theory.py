@@ -53,7 +53,9 @@ class DetectionParams:
     """Inputs the error-rate formulas need.
 
     h_on_sq and h_off_sq are the squared composite gain magnitudes in
-    the two BD states; noise_power is per subcarrier.
+    the two BD states, in state order: reflect, then absorb, whichever
+    is the larger (exact_ber does the destructive role swap itself).
+    noise_power is per subcarrier.
     """
 
     m_sc: int
@@ -77,7 +79,8 @@ class DetectionParams:
 
     @property
     def gamma_b(self):
-        """Per-bit SNR of channel.snr_per_bit at these gains."""
+        """Per-bit SNR of channel.snr_per_bit at these gains: bit for
+        bit snr_per_bit of a channel whose _state_powers these are."""
         return _gamma_b(self.n_chips * self.m_sc, self.h_on_sq,
                         self.h_off_sq, self.noise_power)
 
@@ -295,6 +298,14 @@ def exact_ber(p: DetectionParams, tables: dict | None = None):
     """Error probability of the correlation detector at threshold
     xi = 1, averaged over two equally likely transmit hypotheses.
 
+    p may hold its gains in either order. A destructive geometry
+    (h_on_sq < h_off_sq, |1+iota| < 1) flips the sign of the gain
+    difference; the detector tracks the true sign, so under equal
+    priors its error rate is that of the role-swapped problem: the
+    larger squared gain's noncentrality takes the on role. The result
+    is therefore the same for (on, off) and (off, on), and never
+    1 - BER.
+
     A table depends only on the Poisson window bounds, so consecutive
     calls at nearby gains often need the same two. A caller that makes
     such a run of calls may pass one dict as tables and keep it across
@@ -305,8 +316,8 @@ def exact_ber(p: DetectionParams, tables: dict | None = None):
     bits.
     """
     nu = p.m_sc * p.n_chips
-    lam_on = nu * p.h_on_sq / p.noise_power
-    lam_off = nu * p.h_off_sq / p.noise_power
+    lam_off, lam_on = sorted(nu * h / p.noise_power
+                             for h in (p.h_on_sq, p.h_off_sq))
     # each window serves both series, one as j-weights, one as k-weights
     win_on = _poisson_window(lam_on / 2.0)
     win_off = _poisson_window(lam_off / 2.0)
@@ -336,7 +347,8 @@ def exact_ber(p: DetectionParams, tables: dict | None = None):
 def gaussian_ber(p: DetectionParams):
     """Large-m_sc asymptote of exact_ber: Q(sqrt(2 p.gamma_b)). Doubling
     gamma_b is exact, so this is Q of the square root of
-    channel._two_gamma_b."""
+    channel._two_gamma_b. Even in the gain gap, so it needs no role
+    swap: p in state order gives the per-bit SNR of snr_per_bit."""
     return float(q_func(np.sqrt(2.0 * p.gamma_b)))
 
 
@@ -347,24 +359,12 @@ def fsk_coherent_ber(gamma_b):
     return float(q_func(np.sqrt(gamma_b)))
 
 
-def _ordered_params(on, off, noise_power, m_sc, n_chips) -> DetectionParams:
-    """Detection parameters for squared gains on, off with the larger
-    one as h_on^2.
-
-    Destructive geometries (on < off) flip the sign of the gain
-    difference; the detector tracks the true sign, so they map to the
-    role-swapped problem.
-    """
-    big, small = (on, off) if on >= off else (off, on)
-    return DetectionParams(m_sc=m_sc, n_chips=n_chips, h_on_sq=big,
-                           h_off_sq=small, noise_power=noise_power)
-
-
 def _params_for_u(u, gamma, m_sc, n_chips) -> DetectionParams:
     """Detection parameters at link SNR gamma > 0 and u = |1+iota|^2,
-    with sigma^2 = 1: h_on^2 = gamma max(u, 1), h_off^2 = gamma min(u, 1).
-    """
-    return _ordered_params(gamma * u, gamma, 1.0, m_sc, n_chips)
+    with sigma^2 = 1, in state order: h_on^2 = gamma u, h_off^2 = gamma,
+    at u on either side of 1."""
+    return DetectionParams(m_sc=m_sc, n_chips=n_chips, h_on_sq=gamma * u,
+                           h_off_sq=gamma, noise_power=1.0)
 
 
 def ber_vs_iota(iota, gamma, m_sc, n_chips, engine: str = "exact"):
@@ -372,12 +372,9 @@ def ber_vs_iota(iota, gamma, m_sc, n_chips, engine: str = "exact"):
 
     Maps h_off^2 = gamma sigma^2 and h_on^2 = gamma sigma^2 |1+iota|^2
     (sigma^2 = 1 without loss of generality) and evaluates the chosen
-    engine. Depends on iota only through |1 + iota|^2.
-
-    Destructive geometries (|1+iota| < 1) flip the sign of the gain
-    difference; the detector tracks the true sign, so under equal
-    priors its error rate is the exact_ber of the role-swapped problem.
-    The gaussian engine is already even in the gap and needs no swap.
+    engine. Depends on iota only through |1 + iota|^2. A destructive
+    ratio (|1+iota| < 1) needs no case here: exact_ber does the role
+    swap, and the gaussian engine is even in the gain gap.
     """
     u = _u_of_iota(iota)
     if gamma <= 0.0:

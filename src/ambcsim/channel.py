@@ -155,9 +155,8 @@ def _state_powers(ch: ChannelSet):
 def _gamma_b(nm, on, off, s2):
     """The per-bit SNR of snr_per_bit from nm = n_chips m_sc, the squared
     gains on, off and the noise power s2, as a float: half of
-    _two_gamma_b at gap on - off and total s2 + on + off. Callers keep
-    their own (on, off) order, since s2 + on + off and s2 + off + on can
-    round apart."""
+    _two_gamma_b at gap on - off and total s2 + on + off, with on, off
+    in state order (reflect, absorb), as every caller holds them."""
     return float(0.5 * _two_gamma_b(nm, on - off, s2 + on + off, s2))
 
 

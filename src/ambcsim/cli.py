@@ -4,10 +4,10 @@ Subcommands: theory | simulate | compare | coverage | replicate.
 Common flags: --seed, --config, --out-dir, --threads. A flat
 key=value config file supplies defaults; explicit flags win. Every run
 writes its CSV outputs plus a run_manifest.json recording the argument
-list main parsed, the resolved configuration, seed, version,
-timestamps, output hashes, and the environment (Python and numpy
-versions, scipy's if loaded, numpy's dispatched SIMD targets,
-platform, CPU count, OPENBLAS_NUM_THREADS).
+list main parsed, the resolved configuration, seed, version, a SHA-256
+of the package source, timestamps, output hashes, and the environment
+(Python and numpy versions, scipy's if loaded, numpy's dispatched SIMD
+targets, platform, CPU count, OPENBLAS_NUM_THREADS).
 
 Each cmd_* computes and returns its tables, a dict from CSV file name
 to (header, blocks); main alone writes them, then the manifest, so a
@@ -123,6 +123,15 @@ def positive_int(text: str) -> int:
     return n
 
 
+def non_negative_int(text: str) -> int:
+    """An integer flag value of at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer: {text}")
+    return n
+
+
 def parse_grid(text: str):
     """Grid values from 'start:step:stop' (inclusive) or a comma list."""
     text = text.strip()
@@ -205,14 +214,18 @@ def _apply_config(sub: argparse.ArgumentParser, cfg: dict):
                 raise ValueError(f"bad boolean value for {key}: {raw}")
             defaults[key] = _BOOLEANS[raw.lower()]
         elif action.type is not None:
-            defaults[key] = action.type(raw)
+            try:
+                defaults[key] = action.type(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"bad config value for "
+                                 f"{action.option_strings[0]}: {exc}") from exc
         else:
             defaults[key] = raw
     sub.set_defaults(**defaults)
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=non_negative_int, default=0,
                      help="random seed of simulate, compare and replicate; "
                           "theory and coverage ignore it")
     sub.add_argument("--config", type=str, default=None)
@@ -316,6 +329,19 @@ def _environment():
     }
 
 
+def _source_sha256():
+    """SHA-256 over the package's *.py files in name order: for each,
+    its name, a NUL, its size in bytes in decimal, a NUL, then its
+    bytes. The version is the same on every tree; this tells two apart."""
+    digest = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(n for n in os.listdir(pkg) if n.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as f:
+            data = f.read()
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def _manifest(args, argv, outputs, started):
     doc = {
         "argv": argv,
@@ -323,6 +349,7 @@ def _manifest(args, argv, outputs, started):
         "config": {k: v for k, v in vars(args).items() if k != "config"},
         "seed": args.seed,
         "version": __version__,
+        "source_sha256": _source_sha256(),
         "started_utc": started,
         "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": outputs,

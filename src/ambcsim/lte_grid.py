@@ -46,6 +46,11 @@ def energy_stream(h, m_sc: int, noise_power: float, rng, per_re: bool = False):
     is what the direct path must match distributionally. Its symbols are
     unit modulus with uniformly random phases: y depends on the sequence
     only through |S_t[k]| = 1.
+
+    ValueError, before any draw, unless noise_power is positive and
+    finite, m_sc is positive and every m_sc |h|^2 is finite; on the
+    chi-square path also unless every noncentrality
+    2 m_sc |h|^2 / noise_power is finite.
     """
     if not (np.isfinite(noise_power) and noise_power > 0.0):
         raise ValueError("noise_power must be positive and finite")
@@ -54,6 +59,18 @@ def energy_stream(h, m_sc: int, noise_power: float, rng, per_re: bool = False):
     h = np.atleast_1d(np.asarray(h, dtype=complex))
     if not np.isfinite(h).all():
         raise ValueError("gains h must be finite")
+    # a finite h can still overflow m_sc |h|^2, or the noncentrality,
+    # which is inf wherever m_sc |h|^2 is: checked before any draw, and
+    # not warned about
+    with np.errstate(over="ignore"):
+        power = np.abs(h) ** 2
+        if per_re:
+            big, name = m_sc * power, "m_sc |h|^2"
+        else:
+            big = nonc = 2.0 * m_sc * power / noise_power
+            name = "noncentrality 2 m_sc |h|^2 / noise_power"
+    if not np.isfinite(big).all():
+        raise ValueError(f"{name} must be finite")
     if per_re:
         out = np.empty(h.size)
         scale = np.sqrt(noise_power / 2.0)
@@ -61,7 +78,6 @@ def energy_stream(h, m_sc: int, noise_power: float, rng, per_re: bool = False):
             _per_re_chunk(h[start:start + _CHUNK, None], m_sc, scale, rng,
                           out[start:start + _CHUNK])
         return out
-    nonc = 2.0 * m_sc * np.abs(h) ** 2 / noise_power
     return (noise_power / 2.0) * rng.noncentral_chisquare(2 * m_sc, nonc)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ber_theory import (_ordered_params, exact_ber, fsk_coherent_ber,
+from .ber_theory import (DetectionParams, exact_ber, fsk_coherent_ber,
                          gaussian_ber, params_for_scheme)
 from .channel import (SPEED_OF_LIGHT, ChannelSet, LinkGeometry,
                       _noise_for_gamma_b, _state_gains, _state_powers,
@@ -150,9 +150,10 @@ def channel_for_snr(cfg: SweepConfig, gamma_db: float) -> ChannelSet:
 def _theory_bers(cfg: SweepConfig, gamma_db: float):
     """(gamma_b, exact BER, asymptotic BER) at one sweep point."""
     ch = channel_for_snr(cfg, gamma_db)
-    gamma_b = snr_per_bit(ch, cfg.n_chips, cfg.m_sc)
-    p = params_for_scheme(_ordered_params(*_state_powers(ch), ch.noise_power,
-                                          cfg.m_sc, cfg.n_chips), cfg.scheme)
+    p = DetectionParams(cfg.m_sc, cfg.n_chips, *_state_powers(ch),
+                        ch.noise_power)
+    gamma_b = p.gamma_b
+    p = params_for_scheme(p, cfg.scheme)
     pe, pg = exact_ber(p), gaussian_ber(p)
     if cfg.scheme == "DBPSK":
         pe, pg = (2.0 * b * (1.0 - b) for b in (pe, pg))

@@ -16,7 +16,6 @@ from ambcsim.ber_theory import (
     DetectionParams,
     SeriesError,
     _gaussian_ber_u,
-    _ordered_params,
     _params_for_u,
     _poisson_cdf,
     _poisson_window,
@@ -455,11 +454,11 @@ class TestAsymptotics:
         assert gaussian_ber(p) == float(q_func(np.sqrt(2 * p.gamma_b)))
 
     def test_fsk_gaussian_is_antipodal_at_half_the_chips(self):
-        # the theory rows' FSK Gaussian BER: doubling is exact, so at
-        # on >= off the antipodal problem at N / 2 gives Q(sqrt(gamma_b))
-        # bit for bit
+        # the theory rows' FSK Gaussian BER: doubling is exact, so with
+        # the gains in state order the antipodal problem at N / 2 gives
+        # Q(sqrt(gamma_b)) bit for bit, constructive or destructive
         rng = np.random.default_rng(25)
-        n_checked = 0
+        n_destructive = 0
         for _ in range(500):
             ch = ChannelSet(
                 h_d=1.0, h_s=rng.uniform(0.0, 0.5) * np.exp(
@@ -468,15 +467,14 @@ class TestAsymptotics:
                 bd_off_depth=rng.uniform(0.0, 0.5))
             on, off = (abs(g) ** 2 for g in (composite_gain(ch, +1),
                                              composite_gain(ch, -1)))
-            if on < off:
-                continue
             m_sc = int(rng.integers(1, 300))
             n = 4 * int(rng.integers(1, 6))
-            p = _ordered_params(on, off, ch.noise_power, m_sc, n)
+            p = DetectionParams(m_sc=m_sc, n_chips=n, h_on_sq=on,
+                                h_off_sq=off, noise_power=ch.noise_power)
             assert gaussian_ber(params_for_scheme(p, "FSK")) \
                 == fsk_coherent_ber(snr_per_bit(ch, n, m_sc))
-            n_checked += 1
-        assert n_checked > 100
+            n_destructive += on < off
+        assert n_destructive > 100
 
     def test_fsk_rate(self):
         assert fsk_coherent_ber(0.0) == pytest.approx(0.5)
@@ -521,12 +519,12 @@ class TestBerVsIota:
         g = ber_vs_iota(iota, 10.0, 288, 4, engine="gaussian")
         assert abs(got - g) / got < 0.1
 
-    def test_params_for_u_orders_the_gains(self):
-        up = _params_for_u(1.21, 10.0, 288, 4)
-        down = _params_for_u(0.81, 10.0, 288, 4)
-        assert (up.h_on_sq, up.h_off_sq) == (10.0 * 1.21, 10.0)
-        assert (down.h_on_sq, down.h_off_sq) == (10.0, 10.0 * 0.81)
-        assert (up.m_sc, up.n_chips, up.noise_power) == (288, 4, 1.0)
+    def test_params_for_u_keeps_state_order(self):
+        # reflect gain gamma u, absorb gain gamma, on either side of 1
+        for u in (1.21, 0.81):
+            p = _params_for_u(u, 10.0, 288, 4)
+            assert (p.h_on_sq, p.h_off_sq) == (10.0 * u, 10.0)
+            assert (p.m_sc, p.n_chips, p.noise_power) == (288, 4, 1.0)
 
     def test_gaussian_engine_is_the_map_formula(self):
         # ber_vs_iota's gaussian engine and the coverage map share one

@@ -7,6 +7,7 @@ import json
 import os
 import platform
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +192,25 @@ class TestConfigFile:
         assert not out.exists() or not any(out.iterdir())
 
 
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    @pytest.mark.parametrize("sub", ["theory", "simulate", "compare",
+                                     "coverage", "replicate"])
+    def test_negative_seed_is_a_usage_error_naming_the_flag(
+            self, tmp_path, capsys, sub, via_config):
+        # rejected at parse time by every subcommand, those that ignore
+        # the seed too, whether the value comes from the flag or a file
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("seed=-1\n")
+        seed = ["--config", str(cfgf)] if via_config else ["--seed", "-1"]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as e:
+            main([sub, *seed, "--out-dir", str(out)])
+        assert e.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def field_defaults(cls):
     return {f.name: f.default for f in dataclasses.fields(cls)}
 
@@ -320,8 +340,9 @@ class TestTheoryCommand:
 
     def test_each_row_builds_its_channel_once(self, tmp_path, monkeypatch):
         # gamma_b_db, the two BERs and ber_fsk of a row share one channel
-        # and one per-bit SNR; so do a simulate point's theory and
-        # simulation rows, after its one shard has built its own channel
+        # and one DetectionParams, whose gamma_b is the per-bit SNR; so
+        # do a simulate point's theory and simulation rows, after its one
+        # shard has built its own channel
         calls = []
         for mod in (montecarlo, cli):
             for name in ("channel_for_snr", "snr_per_bit"):
@@ -331,12 +352,11 @@ class TestTheoryCommand:
                                         _n=name: calls.append(_n) or _f(*a))
         assert main(["theory", "--gamma", "0:5:10", "--out-dir",
                      str(tmp_path)]) == 0
-        assert calls == ["channel_for_snr", "snr_per_bit"] * 3
+        assert calls == ["channel_for_snr"] * 3
         calls.clear()
         assert main(["simulate", "--gamma", "0:5:10", "--symbols", "100",
                      "--out-dir", str(tmp_path)]) == 0
-        assert calls == (["channel_for_snr"] * 3
-                         + ["channel_for_snr", "snr_per_bit"] * 3)
+        assert calls == ["channel_for_snr"] * 6
 
     @pytest.mark.parametrize("iota", ["0.03", "-0.0253", "0.02+0.05j"])
     def test_iota_gaussian_column_is_the_map_formula(self, iota):
@@ -458,6 +478,27 @@ class TestManifestEnvironment:
                  "    print(json.dumps(env['scipy']))\n")
         assert _run_probe(probe).splitlines() == \
             ["null", json.dumps(scipy.__version__)]
+
+
+class TestManifestSource:
+    def test_source_sha256_names_the_package_files(self, tmp_path):
+        # an independent digest of ambcsim/*.py, the same in two runs
+        pkg = Path(cli.__file__).resolve().parent
+        digest = hashlib.sha256()
+        for path in sorted(pkg.glob("*.py"), key=lambda q: q.name):
+            data = path.read_bytes()
+            digest.update(path.name.encode() + b"\0"
+                          + str(len(data)).encode() + b"\0" + data)
+        docs = []
+        for run in ("a", "b"):
+            assert main(["theory", "--gamma", "3", "--out-dir",
+                         str(tmp_path / run)]) == 0
+            docs.append(json.loads((tmp_path / run / "run_manifest.json")
+                                   .read_text()))
+        assert docs[0]["source_sha256"] == digest.hexdigest()
+        assert docs[1]["source_sha256"] == docs[0]["source_sha256"]
+        assert (tmp_path / "a" / "theory.csv").read_bytes() == \
+            (tmp_path / "b" / "theory.csv").read_bytes()
 
 
 class TestManifestArgv:

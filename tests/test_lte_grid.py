@@ -33,6 +33,40 @@ class TestEnergyStream:
         with pytest.raises(ValueError, match=name):
             energy_stream(h, 12, noise_power, rng, per_re=per_re)
 
+    @pytest.mark.parametrize("per_re", [False, True], ids=["chi2", "per-re"])
+    @pytest.mark.parametrize("h, noise_power", [
+        ([1e200, 1e160], 1.0),
+        ([0.5, 1e160], 1e-3),
+    ])
+    def test_rejects_overflowing_energy(self, h, noise_power, per_re):
+        # finite gains whose m_sc |h|^2 overflows: an error before any
+        # draw, not an inf energy with an overflow warning
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="m_sc"):
+            energy_stream(h, 12, noise_power, rng, per_re=per_re)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("h, noise_power", [
+        ([1.0], 1e-320),
+        ([3e153], 1.0),
+    ])
+    def test_rejects_overflowing_noncentrality(self, h, noise_power):
+        # the chi-square law needs 2 m_sc |h|^2 / noise_power; the
+        # per-subcarrier path never forms it and stays finite
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="noncentrality"):
+            energy_stream(h, 12, noise_power, rng)
+        assert rng.bit_generator.state == state
+        y = energy_stream(h, 12, noise_power, rng, per_re=True)
+        assert np.isfinite(y).all()
+
+    def test_per_re_unit_gain_over_vanishing_noise(self):
+        rng = np.random.default_rng(0)
+        assert energy_stream([1.0], 12, 1e-320, rng,
+                             per_re=True).tolist() == [12.0]
+
     def test_moments_fast_path(self):
         rng = np.random.default_rng(30)
         h, s2, n = 0.9 + 0.2j, 1.3, 100_000

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from ambcsim.ber_theory import DetectionParams, exact_ber, fsk_coherent_ber
-from ambcsim.channel import (SPEED_OF_LIGHT, composite_gain, from_db,
-                             snr_per_bit)
+from ambcsim import montecarlo
+from ambcsim.ber_theory import (DetectionParams, exact_ber, fsk_coherent_ber,
+                                gaussian_ber)
+from ambcsim.channel import (SPEED_OF_LIGHT, ChannelSet, _state_powers,
+                             composite_gain, from_db, snr_per_bit)
 from ambcsim.modem import FRAME_BITS, PAYLOAD_BITS
 from ambcsim.montecarlo import (
     SweepConfig,
+    _theory_bers,
     channel_for_snr,
     compare_receivers,
     flat_channel,
@@ -121,6 +124,35 @@ class TestTheoryPoints:
                             h_off_sq=abs(composite_gain(ch, -1)) ** 2,
                             noise_power=ch.noise_power)
         assert rows[0].ber == pytest.approx(exact_ber(p), rel=1e-12)
+
+    def test_destructive_rows_take_state_order(self, monkeypatch):
+        # gamma_b and the Gaussian BER of a row come from the gains in
+        # state order, so on a destructive channel too they are bit for
+        # bit snr_per_bit and gaussian_ber of the channel's own params;
+        # the exact series is stubbed out, since only its params matter
+        monkeypatch.setattr(montecarlo, "exact_ber", lambda p: 0.25)
+        rng = np.random.default_rng(29)
+        n_checked = 0
+        while n_checked < 300:
+            ch = ChannelSet(
+                h_d=1.0, h_s=rng.uniform(0.0, 1.0) * np.exp(
+                    1j * rng.uniform(-np.pi, np.pi)),
+                h_b=1.0, noise_power=1.0,
+                bd_off_depth=rng.uniform(0.0, 0.9))
+            on, off = _state_powers(ch)
+            if on >= off:
+                continue
+            m_sc = int(rng.integers(1, 300))
+            n = 2 * int(rng.integers(1, 11))
+            cfg = small_cfg(channel=ch, m_sc=m_sc, n_chips=n)
+            gdb = float(rng.uniform(-10.0, 30.0))
+            gamma_b, pe, pg = _theory_bers(cfg, gdb)
+            at_gdb = channel_for_snr(cfg, gdb)
+            assert pg == gaussian_ber(DetectionParams(m_sc, n, on, off,
+                                                      at_gdb.noise_power))
+            assert gamma_b == snr_per_bit(at_gdb, n, m_sc)
+            assert pe == 0.25
+            n_checked += 1
 
     def test_dbpsk_rows(self):
         base = theory_points(small_cfg(), 6.0)

@@ -1,9 +1,15 @@
 """Property tests for the modem: frame_sync shift equivariance, DBPSK
-differential decoding and the tie rule of the detectors."""
+differential decoding and the tie rule of the detectors; and for the
+exact BER: either order of the two state gains gives the same value."""
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ambcsim.ber_theory import (DetectionParams, exact_ber, gaussian_ber,
+                                params_for_scheme)
 from ambcsim.channel import ChannelSet, composite_gain
 from ambcsim.modem import (DETECTOR_KINDS, PAYLOAD_BITS, SCHEMES,
                            _metric_diff, demodulate_stream, encode_bits,
@@ -63,3 +69,25 @@ def test_exact_tie_goes_to_zero(scheme, n, ch, m_sc, kind, root):
     d = _metric_diff(kind, y[None, :], a, ch, m_sc)
     assert d[0] == 0.0
     assert demodulate_stream(kind, y, a, ch, m_sc)[0] == 0
+
+
+# squared gains and noise powers that keep the exact series cheap:
+# noncentralities of at most m_sc N 8, Poisson windows of a few hundred
+GAINS = st.floats(0.0, 4.0)
+
+
+@given(m_sc=st.integers(1, 12), n=st.sampled_from([4, 8]), on=GAINS,
+       off=GAINS, s2=st.floats(0.5, 4.0))
+def test_exact_ber_takes_either_state_order(m_sc, n, on, off, s2):
+    # exact_ber does the destructive role swap itself; gamma_b and the
+    # Gaussian BER sum s2 + on + off, which can round apart from
+    # s2 + off + on, so they agree to rounding only
+    p = DetectionParams(m_sc=m_sc, n_chips=n, h_on_sq=on, h_off_sq=off,
+                        noise_power=s2)
+    q = replace(p, h_on_sq=off, h_off_sq=on)
+    assert exact_ber(p) == exact_ber(q)
+    assert exact_ber(p) <= 0.5
+    assert exact_ber(params_for_scheme(p, "FSK")) \
+        == exact_ber(params_for_scheme(q, "FSK"))
+    assert q.gamma_b == pytest.approx(p.gamma_b, rel=1e-12)
+    assert gaussian_ber(q) == pytest.approx(gaussian_ber(p), rel=1e-12)
