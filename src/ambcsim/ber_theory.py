@@ -418,6 +418,15 @@ def iota_magnitude_for_target(ber_target, gamma, m_sc, n_chips):
     """Smallest |1 + iota|^2 >= 1 whose gaussian-engine BER hits
     ber_target at link SNR gamma. Exact inverse of _gaussian_ber_u: the
     round trip reproduces ber_target to working precision."""
+    return 1.0 + _excess_for_target(ber_target, gamma, m_sc, n_chips)
+
+
+def _excess_for_target(ber_target, gamma, m_sc, n_chips):
+    """u* - 1 for the u* of iota_magnitude_for_target, before 1 + it
+    rounds: with z = q_inv(ber_target) and nm = n_chips m_sc,
+    (2 z^2 + 2 z sqrt(z^2 + nm (2 gamma + 1))) / (nm gamma), every
+    term positive. 0 where nm (2 gamma + 1) overflows (gamma above
+    about 7.8e304 at nm = 1152), where the excess is below 1e-150."""
     if not 0.0 < ber_target <= 0.5:
         raise ValueError("ber_target must be in (0, 0.5]")
     if not 0.0 < gamma < math.inf:
@@ -428,11 +437,8 @@ def iota_magnitude_for_target(ber_target, gamma, m_sc, n_chips):
     nm = float(n_chips * m_sc)
     spread = nm * (2.0 * gamma + 1.0)
     if not math.isfinite(spread):
-        # nm * gamma is above 8.9e307: the excess over 1 is below 1e-150;
-        # the formula would give inf or inf/inf
-        return 1.0
-    return 1.0 + (2.0 * z * z + 2.0 * z * math.sqrt(z * z + spread)) \
-        / (nm * gamma)
+        return 0.0
+    return (2.0 * z * z + 2.0 * z * math.sqrt(z * z + spread)) / (nm * gamma)
 
 
 def params_for_scheme(p: DetectionParams, scheme: str) -> DetectionParams:

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: theory | simulate | compare | coverage | replicate.
-Common flags: --seed, --config, --out-dir, --threads. A flat
-key=value config file supplies defaults; explicit flags win. Every run
+Common flags: --seed, --config, --out-dir, --threads. Each key=value
+line of a flat config file is the flag --key=value (a boolean key gives
+the bare flag when true and nothing when false), placed before the
+command line's own flags, so those win. Every run
 writes its CSV outputs plus a run_manifest.json recording the argument
 list main parsed, the resolved configuration, seed, version, a SHA-256
 of the package source, timestamps, output hashes, and the environment
@@ -144,7 +146,10 @@ def parse_grid(text: str):
         if b <= 0.0 or c < a:
             raise argparse.ArgumentTypeError(
                 "range needs step > 0 and stop >= start")
-        count = int(math.floor((c - a) / b + 1e-9)) + 1
+        count = (c - a) / b + 1e-9
+        if count == math.inf:  # a subnormal step, or stop - start overflows
+            raise argparse.ArgumentTypeError("range has too many points")
+        count = int(math.floor(count)) + 1
         return tuple(a + i * b for i in range(count))
     return tuple(finite(p) for p in text.split(","))
 
@@ -199,29 +204,23 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config(sub: argparse.ArgumentParser, cfg: dict):
-    """Config values become subparser defaults, converted with each
-    flag's own type; explicit CLI flags still take precedence."""
-    defaults = {}
-    known = {action.dest: action for action in sub._actions
-             if not isinstance(action, argparse._HelpAction)}
+def _config_flags(cfg: dict, known: dict) -> list:
+    """The flags a config file's lines stand for: --key=value, or for a
+    boolean key the bare flag when true and nothing when false. known is
+    the first parse's namespace as a dict: its keys bar subcommand are
+    the known keys, and exactly the booleans' values are bools."""
+    flags = []
     for key, raw in cfg.items():
-        if key not in known:
+        if key not in known or key == "subcommand":
             raise ValueError(f"unknown config key: {key}")
-        action = known[key]
-        if isinstance(action, argparse._StoreTrueAction):
+        flag = "--" + key.replace("_", "-")
+        if isinstance(known[key], bool):
             if raw.lower() not in _BOOLEANS:
                 raise ValueError(f"bad boolean value for {key}: {raw}")
-            defaults[key] = _BOOLEANS[raw.lower()]
-        elif action.type is not None:
-            try:
-                defaults[key] = action.type(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ValueError(f"bad config value for "
-                                 f"{action.option_strings[0]}: {exc}") from exc
+            flags += [flag] * _BOOLEANS[raw.lower()]
         else:
-            defaults[key] = raw
-    sub.set_defaults(**defaults)
+            flags.append(f"{flag}={raw}")
+    return flags
 
 
 def _add_common(sub):
@@ -476,17 +475,17 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, subparsers = build_parser()
+    parser, _ = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
-        # the file's values become defaults of the chosen subcommand;
-        # parsing again lets explicit flags win over them
+        # the file's lines go in as flags right after the subcommand, so
+        # argparse converts and checks them and the explicit flags win
         try:
-            _apply_config(subparsers[args.subcommand],
-                          load_config(args.config))
-            args = parser.parse_args(argv)
-        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+            flags = _config_flags(load_config(args.config), vars(args))
+        except (OSError, ValueError) as exc:
             parser.error(str(exc))
+        at = argv.index(args.subcommand) + 1
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     os.makedirs(args.out_dir, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     try:

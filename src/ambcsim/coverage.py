@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ber_theory import (SeriesError, _gaussian_ber_u, _params_for_u,
-                         exact_ber, iota_magnitude_for_target)
+from .ber_theory import (SeriesError, _excess_for_target, _gaussian_ber_u,
+                         _params_for_u, exact_ber)
 from .channel import _FOUR_PI, SPEED_OF_LIGHT, _scatter
 
 DEFAULT_LEVELS = (0.4, 0.3, 0.2, 0.1, 0.05, 0.01)
@@ -194,41 +194,63 @@ def range_estimate(sc: CoverageScenario, ber_target: float) -> float:
     envelope at the worst bearing (BD diametrically opposite the BS,
     d_b = d_d + d_s, which minimizes |iota|): the circle is readable
     while (1 + |iota|)^2 >= u*, the |1+iota|^2 the target requires.
-    With c = sqrt(u*) - 1 the crossing (lam / 4 pi) d_d / (d_s (d_d +
-    d_s)) = c is the positive root of d_s^2 + d_d d_s - k = 0, k =
-    lam d_d / (4 pi c), taken without cancellation as
-    2 k / (d_d + hypot(d_d, 2 sqrt(k))), which holds where d_d^2
-    overflows. The exact engine first refines u* by bisection, its
-    steps sharing one exact_ber table dict: late steps lie close
-    together and reuse their tables.
+    With c = sqrt(u*) - 1 from _required_iota, the crossing
+    (lam / 4 pi) d_d / (d_s (d_d + d_s)) = c is the positive root of
+    d_s^2 + d_d d_s - k = 0, k = lam d_d / (4 pi c), taken without
+    cancellation as k / (d_d / 2 + hypot(d_d / 2, sqrt(k))), which holds
+    where d_d^2, 2 k or d_d + hypot(d_d, 2 sqrt(k)) overflows; a k
+    that overflows itself (c below lam d_d / 2.3e309) gives NaN.
 
-    c = 0 (every target met everywhere) returns inf. A radius not above
-    lam * 1e-9, deep in the near field, or a NaN u* returns NaN with
-    the warning "BER target unreachable for this geometry and SNR".
+    c = 0 (every target met everywhere) returns inf; it occurs only
+    where the gaussian inverse's nm (2 gamma + 1) overflows, gamma above
+    about 7.8e304 at m_sc n_chips = 1152, since below that c stays above
+    1e-170 for every target in (0, 0.5). A radius not above lam * 1e-9,
+    deep in the near field, or a NaN c returns NaN with the warning "BER
+    target unreachable for this geometry and SNR".
     """
     if not 0.0 < ber_target < 0.5:
         raise ValueError("ber_target must be in (0, 0.5)")
-    u_star = iota_magnitude_for_target(ber_target, sc.gamma, sc.m_sc,
-                                       sc.n_chips)
-    if sc.engine == "exact":
-        # exact BER falls with u > 1; seeded from the gaussian inverse
-        tables = {}
-        u_star = _decreasing_root(
-            lambda u: exact_ber(_params_for_u(u, sc.gamma, sc.m_sc,
-                                              sc.n_chips), tables)
-            - ber_target,
-            1.0 + 1e-12, max(u_star, 1.0 + 1e-9), 1e-9)
-    c = math.sqrt(u_star) - 1.0
+    c = _required_iota(sc, ber_target)
     if c == 0.0:
         return math.inf
     lam = sc.wavelength
     d_d = sc.d_d
     k = lam * d_d / (_FOUR_PI * c)
-    r = 2.0 * k / (d_d + math.hypot(d_d, 2.0 * math.sqrt(k)))
+    half = 0.5 * d_d  # 2 k and d_d + hypot would overflow past 9e307
+    r = k / (half + math.hypot(half, math.sqrt(k)))
     if not r > lam * 1e-9:
         warnings.warn("BER target unreachable for this geometry and SNR")
         return float("nan")
     return r
+
+
+def _required_iota(sc: CoverageScenario, ber_target: float) -> float:
+    """c = sqrt(u*) - 1, the |iota| that ber_target requires, with u*
+    the |1+iota|^2 at which the scenario engine's BER hits it.
+
+    Neither engine takes sqrt(u*) - 1 of a u* = 1 + e rounded to a
+    double, which loses the digits of e below 2^-53 (all of them at
+    320 dB). The gaussian engine takes c = e / (1 + sqrt(1 + e)) from
+    the excess e of _excess_for_target: within 1.5e-15 relative of the
+    c of the double z = q_inv(ber_target) computed exactly, since its
+    13 roundings add at most 13.25 * 2^-53 (tested against mpmath for
+    gamma up to 320 dB and targets down to 1e-300; 5.2e-16 was the
+    largest). The exact engine refines u* by bisection, its steps
+    sharing one exact_ber table dict (late steps lie close together and
+    reuse their tables), and takes c = (u* - 1) / (1 + sqrt(u*)),
+    within 4.5e-16 relative of sqrt(u*) - 1 for the bisected u*: u* - 1
+    is exact for u* <= 2.
+    """
+    excess = _excess_for_target(ber_target, sc.gamma, sc.m_sc, sc.n_chips)
+    if sc.engine == "gaussian":
+        return excess / (1.0 + math.sqrt(1.0 + excess))
+    # exact BER falls with u > 1; seeded from the gaussian inverse
+    tables = {}
+    u_star = _decreasing_root(
+        lambda u: exact_ber(_params_for_u(u, sc.gamma, sc.m_sc, sc.n_chips),
+                            tables) - ber_target,
+        1.0 + 1e-12, max(1.0 + excess, 1.0 + 1e-9), 1e-9)
+    return (u_star - 1.0) / (1.0 + math.sqrt(u_star))
 
 
 _MAX_STEPS = 200

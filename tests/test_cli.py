@@ -112,6 +112,36 @@ class TestConfigFile:
         assert doc["config"]["seed"] == 9
         assert doc["seed"] == 9
 
+    def test_config_lines_are_the_flags(self, tmp_path, capsys):
+        # a boolean, a value starting with '-' and a comma list: the file
+        # gives the same bytes and the same resolved config as the flags
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("per_re=yes\ngamma=-2:2:2\n"
+                        "detectors=Correlation,BesselMap\n")
+        flags = ["--per-re", "--gamma=-2:2:2",
+                 "--detectors", "Correlation,BesselMap"]
+        docs = []
+        for name, given in (("file", ["--config", str(cfgf)]),
+                            ("flags", flags)):
+            out = tmp_path / name
+            assert main(["simulate", *given, "--msc", "12", "--symbols",
+                         "200", "--out-dir", str(out)]) == 0
+            doc = json.loads((out / "run_manifest.json").read_text())
+            del doc["config"]["out_dir"]
+            docs.append(doc)
+        assert docs[0]["outputs"] == docs[1]["outputs"]
+        assert docs[0]["config"] == docs[1]["config"]
+        assert docs[0]["config"]["per_re"] is True
+        # a prefix of a key is not the key, though argparse would take
+        # --gam for --gamma
+        cfgf.write_text("gam=5\n")
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "--config", str(cfgf), "--out-dir",
+                  str(tmp_path / "prefix")])
+        assert e.value.code == 2
+        assert "unknown config key: gam" in capsys.readouterr().err
+        assert not (tmp_path / "prefix").exists()
+
     # config text (None: no file) and the arguments; CFG is the file
     @pytest.mark.parametrize("text, argv", [
         pytest.param("warp_drive=1\n", ["theory", "--config", "CFG"],
@@ -179,6 +209,8 @@ class TestConfigFile:
                      id="replicate-threads-zero"),
         pytest.param("threads=-2\n", ["simulate", "--config", "CFG"],
                      id="config-threads-negative"),
+        pytest.param(None, ["theory", "--gamma", "0:1e-320:1e10"],
+                     id="theory-gamma-infinite-points"),
     ])
     def test_unknown_key_is_usage_error(self, tmp_path, text, argv):
         cfgf = tmp_path / "run.cfg"
@@ -645,10 +677,13 @@ class TestCoverageCommand:
         assert [o["path"] for o in manifest["outputs"]] == [
             "coverage_grid.csv", "contours.csv", "range.csv"]
 
-    @pytest.mark.parametrize("gamma_db", ["3000", "3080"])
-    def test_huge_gamma_reads_everywhere(self, tmp_path, gamma_db):
-        # num, then den too, overflow in the gaussian grid; no warning,
-        # and the range is unbounded
+    @pytest.mark.parametrize("gamma_db, radius", [
+        ("3000", "3.96693731e+75,0.383366315,1.03476418e+76"),
+        ("3080", "inf,0.383366315,inf")], ids=["3000", "3080"])
+    def test_huge_gamma_reads_everywhere(self, tmp_path, gamma_db, radius):
+        # num, then den too, overflow in the gaussian grid; no warning.
+        # The range is finite (the 1e300 row is the root for the exact
+        # c, to all nine digits) until nm (2 gamma + 1) overflows
         rc = main(["coverage", "--gamma-db", gamma_db, "--resolution", "4",
                    "--out-dir", str(tmp_path)])
         assert rc == 0
@@ -656,7 +691,7 @@ class TestCoverageCommand:
         ber = np.array([float(row["ber"]) for row in grid_rows])
         assert np.isin(ber[~np.isnan(ber)], (0.0, 0.5)).all()
         _, rrows = read_csv(tmp_path / "range.csv")
-        assert ",".join(rrows[0].values()) == "0.01,inf,0.383366315,inf"
+        assert ",".join(rrows[0].values()) == "0.01," + radius
 
 
 class TestReplicateCommand:

@@ -21,6 +21,7 @@ from ambcsim.coverage import (
     contour_export,
     range_estimate,
 )
+from ambcsim.specfun import q_inv
 from oracles import (
     RANGE_782_AT_1E1,
     RANGE_782_AT_1E2,
@@ -629,34 +630,76 @@ class TestRangeEstimate:
                 (1e-3, 1e-2, 0.1, 0.4), (12, 288), (2, 4)):
             sc = default_scenario(bs_pos=bs, carrier_freq_hz=f, gamma=gamma,
                                   m_sc=m_sc, n_chips=n)
-            c = math.sqrt(ber_theory.iota_magnitude_for_target(
-                target, gamma, m_sc, n)) - 1.0
+            c = coverage._required_iota(sc, target)
             r = range_estimate(sc, target)
             got = _scatter(sc.d_d, r, sc.d_d + r, sc.wavelength)[0]
             assert got == pytest.approx(c, rel=1e-14, abs=0.0)
 
     def test_closed_form_matches_mpmath(self):
         # the one case of a 17 640-scenario scan whose printed radius
-        # moved: the old bisection printed 0.275332535, 1.5e-13 off
+        # moved: the old bisection printed 0.275332535, 1.5e-13 off; c is
+        # exact here for the double z, so the radius of sqrt(u*) - 1
+        # with u* rounded (0.27533253449996388) fails
         mp = pytest.importorskip("mpmath")
         sc = default_scenario(carrier_freq_hz=2560e6, gamma=100.0, m_sc=12)
-        c = math.sqrt(ber_theory.iota_magnitude_for_target(
-            0.05, 100.0, 12, 4)) - 1.0
         with mp.workdps(40):
-            k = mp.mpf(sc.wavelength) * 50 / (4 * mp.pi * mp.mpf(c))
+            z = mp.mpf(q_inv(0.05))
+            e = (2 * z * z + 2 * z * mp.sqrt(z * z + 48 * 201)) / 4800
+            c = mp.sqrt(1 + e) - 1
+            k = mp.mpf(sc.wavelength) * 50 / (4 * mp.pi * c)
             want = float(2 * k / (50 + mp.sqrt(2500 + 4 * k)))
-        assert want == pytest.approx(0.27533253449996388, rel=1e-16, abs=0.0)
+        assert want == pytest.approx(0.27533253449996453, rel=1e-16, abs=0.0)
         assert range_estimate(sc, 0.05) == pytest.approx(want, rel=1e-15,
                                                          abs=0.0)
 
+    def test_required_iota_and_radius_match_mpmath(self):
+        # c is within the 1.5e-15 of _required_iota's docstring of the
+        # exact c for the double z, and the radius within 4e-15 of the
+        # root for that c (c's bound plus the radius formula's roundings);
+        # 5.2e-16 and 6.1e-16 were the largest seen. sqrt(u*) - 1 of a
+        # rounded u* was 1e-11 off at 90 dB, 6e-4 at 250 dB and read
+        # c = 0 (an infinite radius) at 320 dB
+        mp = pytest.importorskip("mpmath")
+        cases = []
+        for (m_sc, n), gamma_db, target in itertools.product(
+                ((288, 4), (1, 2)), range(-30, 321, 10),
+                (0.49, 0.3, 0.1, 1e-2, 1e-3, 1e-6, 1e-30, 1e-300)):
+            gamma = 10.0 ** (gamma_db / 10.0)
+            sc = default_scenario(gamma=gamma, m_sc=m_sc, n_chips=n)
+            with mp.workdps(60):
+                z = mp.mpf(q_inv(target))
+                nm, g = m_sc * n, mp.mpf(gamma)
+                e = (2 * z * z + 2 * z * mp.sqrt(z * z + nm * (2 * g + 1))) \
+                    / (nm * g)
+                c = e / (1 + mp.sqrt(1 + e))
+                k = mp.mpf(sc.wavelength) * 50 / (4 * mp.pi * c)
+                r = 2 * k / (50 + mp.sqrt(2500 + 4 * k))
+                got = range_estimate(sc, target)
+                assert abs(got / r - 1) <= 4e-15, (gamma_db, target)
+            cases.append((sc, target, c))
+        for sc, target, c in cases:
+            got = coverage._required_iota(sc, target)
+            assert abs(got / c - 1) <= 1.5e-15, (sc.gamma, target)
+
+    @pytest.mark.parametrize("u_star", [1.0 + 2.0 ** -50, 1.5, 3.0, 1e10])
+    def test_exact_engine_iota_matches_mpmath(self, monkeypatch, u_star):
+        # c of the bisected u* is within 4.5e-16 of sqrt(u*) - 1
+        mp = pytest.importorskip("mpmath")
+        monkeypatch.setattr(coverage, "_decreasing_root",
+                            lambda *args: u_star)
+        c = coverage._required_iota(default_scenario(engine="exact"), 0.1)
+        with mp.workdps(40):
+            assert abs(c / (mp.sqrt(mp.mpf(u_star)) - 1) - 1) <= 4.5e-16
+
     def test_far_base_station(self):
-        # d_d^2 overflows beyond 1.3e154 m; the radius tends to
-        # lam / (4 pi c) as d_d grows
-        sc = default_scenario(bs_pos=(1e200, 0.0))
-        c = math.sqrt(ber_theory.iota_magnitude_for_target(
-            1e-2, 10.0, 288, 4)) - 1.0
-        assert range_estimate(sc, 1e-2) == pytest.approx(
-            sc.wavelength / (4.0 * math.pi * c), rel=1e-14, abs=0.0)
+        # d_d^2 overflows beyond 1.3e154 m, and 2 k beyond 9e307 (at
+        # 1e308 the radius read NaN); the radius tends to lam / (4 pi c)
+        # as d_d grows
+        for d_d in (1e200, 1e308):
+            sc = default_scenario(bs_pos=(d_d, 0.0))
+            c = coverage._required_iota(sc, 1e-2)
+            assert range_estimate(sc, 1e-2) == pytest.approx(
+                sc.wavelength / (4.0 * math.pi * c), rel=1e-14, abs=0.0)
 
     def test_gaussian_range_runs_no_search(self, monkeypatch):
         def no_search(*args):
@@ -672,7 +715,7 @@ class TestRangeEstimate:
         assert range_estimate(default_scenario(gamma=gamma), 1e-2) == math.inf
 
     def test_nan_requirement_warns_nan(self, monkeypatch):
-        monkeypatch.setattr(coverage, "iota_magnitude_for_target",
+        monkeypatch.setattr(coverage, "_excess_for_target",
                             lambda *args: math.nan)
         with pytest.warns(UserWarning, match="unreachable"):
             assert math.isnan(range_estimate(default_scenario(), 1e-2))
