@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from .ber_theory import (DetectionParams, SeriesError, ber_vs_iota,
                          doubly_noncentral_f_cdf, exact_ber,
-                         fsk_coherent_ber, gaussian_ber,
-                         iota_magnitude_for_target, params_for_scheme)
+                         fsk_coherent_ber, gaussian_ber, params_for_scheme)
 from .channel import (SPEED_OF_LIGHT, ChannelSet, LinkGeometry,
                       composite_gain, from_db, fspl_gain, scatter_ratio,
                       snr_per_bit, to_db)
@@ -36,7 +35,7 @@ __all__ = [
     "demodulate_stream", "doubly_noncentral_f_cdf", "encode_bits",
     "encode_frame", "energy_stream", "exact_ber", "flat_channel",
     "frame_sync", "from_db", "fsk_coherent_ber", "fspl_gain", "gaussian_ber",
-    "iota_magnitude_for_target", "log_bessel_i", "make_alphabet",
+    "log_bessel_i", "make_alphabet",
     "measurement_config", "params_for_scheme", "q_func", "q_inv",
     "range_estimate", "replicate_measurement", "run_ber_sweep",
     "scatter_ratio", "snr_per_bit", "theory_points", "to_db",

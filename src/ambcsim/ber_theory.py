@@ -136,11 +136,12 @@ def _poisson_window(half_lam):
 
     With mu = half_lam, q = _REL_TOL / 4 and k_p the smallest k >= 0
     whose CDF, evaluated in double precision, reaches p (1 - q rounded
-    to double), the window starts at lo = max(k_q - 2, 0) and
-    hi = k_{1-q} + 2, then widens by 16 on each side until
-    CDF(hi) - CDF(lo - 1) >= 1 - _REL_TOL. The CDF is
-    scipy.special.pdtr, the function scipy.stats.poisson's ppf/isf
-    settle on, so the bounds are theirs wherever those are finite.
+    to double), the window is lo = max(k_q - 2, 0) to hi = k_{1-q} + 2.
+    It holds at least 1 - 2q = 1 - _REL_TOL / 2 of the mass, since
+    lo - 1 < k_q gives CDF(lo - 1) < q and hi >= k_{1-q} gives
+    CDF(hi) >= 1 - q. The CDF is scipy.special.pdtr, the
+    function scipy.stats.poisson's ppf/isf settle on, so the bounds are
+    theirs wherever those are finite.
 
     Each k_p comes from _poisson_quantile's walk of one index at a time
     from a Cornish-Fisher start, so the bounds are those of any exact
@@ -160,11 +161,6 @@ def _poisson_window(half_lam):
     q = _REL_TOL / 4.0
     lo = max(_poisson_quantile(q, half_lam) - 2, 0)
     hi = _poisson_quantile(1.0 - q, half_lam) + 2
-    while (hi - lo + 1 <= _MAX_TERMS
-           and _poisson_cdf(hi, half_lam) - _poisson_cdf(lo - 1, half_lam)
-           < 1.0 - _REL_TOL):
-        lo = max(lo - 16, 0)
-        hi += 16
     if hi - lo + 1 > _MAX_TERMS:
         raise _window_overflow()
     k = np.arange(lo, hi + 1, dtype=float)
@@ -414,25 +410,19 @@ def _gaussian_ber_u(u, gamma, nm):
     return q_func(np.sqrt(x))
 
 
-def iota_magnitude_for_target(ber_target, gamma, m_sc, n_chips):
-    """Smallest |1 + iota|^2 >= 1 whose gaussian-engine BER hits
-    ber_target at link SNR gamma. Exact inverse of _gaussian_ber_u: the
-    round trip reproduces ber_target to working precision."""
-    return 1.0 + _excess_for_target(ber_target, gamma, m_sc, n_chips)
-
-
 def _excess_for_target(ber_target, gamma, m_sc, n_chips):
-    """u* - 1 for the u* of iota_magnitude_for_target, before 1 + it
-    rounds: with z = q_inv(ber_target) and nm = n_chips m_sc,
-    (2 z^2 + 2 z sqrt(z^2 + nm (2 gamma + 1))) / (nm gamma), every
-    term positive. 0 where nm (2 gamma + 1) overflows (gamma above
-    about 7.8e304 at nm = 1152), where the excess is below 1e-150."""
-    if not 0.0 < ber_target <= 0.5:
-        raise ValueError("ber_target must be in (0, 0.5]")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
-    if m_sc < 1 or n_chips < 1:
-        raise ValueError("m_sc and n_chips must be positive")
+    """u* - 1, before 1 + it rounds, for the smallest u* = |1 + iota|^2
+    >= 1 whose gaussian-engine BER hits ber_target at link SNR gamma:
+    the exact inverse of _gaussian_ber_u. With z = q_inv(ber_target) and
+    nm = n_chips m_sc, (2 z^2 + 2 z sqrt(z^2 + nm (2 gamma + 1)))
+    / (nm gamma), every term positive. 0 where nm (2 gamma + 1)
+    overflows (gamma above about 7.8e304 at nm = 1152), where the excess
+    is below 1e-150.
+
+    The one caller, coverage._required_iota, is reached only through
+    range_estimate, so the inputs are checked before they get here:
+    CoverageScenario checks gamma, m_sc and n_chips, and range_estimate
+    the target."""
     z = q_inv(ber_target)
     nm = float(n_chips * m_sc)
     spread = nm * (2.0 * gamma + 1.0)

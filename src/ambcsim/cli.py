@@ -134,8 +134,15 @@ def non_negative_int(text: str) -> int:
     return n
 
 
+# the most points a start:step:stop range may ask for; the largest
+# default, golden or benchmark grid has 53
+_MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(text: str):
-    """Grid values from 'start:step:stop' (inclusive) or a comma list."""
+    """Grid values from 'start:step:stop' (inclusive) or a comma list.
+    A range is counted before it is built, and refused above
+    _MAX_GRID_POINTS points."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -147,7 +154,8 @@ def parse_grid(text: str):
             raise argparse.ArgumentTypeError(
                 "range needs step > 0 and stop >= start")
         count = (c - a) / b + 1e-9
-        if count == math.inf:  # a subnormal step, or stop - start overflows
+        # inf too: a subnormal step, or stop - start overflows
+        if not count < _MAX_GRID_POINTS:
             raise argparse.ArgumentTypeError("range has too many points")
         count = int(math.floor(count)) + 1
         return tuple(a + i * b for i in range(count))

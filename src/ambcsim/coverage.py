@@ -196,10 +196,14 @@ def range_estimate(sc: CoverageScenario, ber_target: float) -> float:
     while (1 + |iota|)^2 >= u*, the |1+iota|^2 the target requires.
     With c = sqrt(u*) - 1 from _required_iota, the crossing
     (lam / 4 pi) d_d / (d_s (d_d + d_s)) = c is the positive root of
-    d_s^2 + d_d d_s - k = 0, k = lam d_d / (4 pi c), taken without
-    cancellation as k / (d_d / 2 + hypot(d_d / 2, sqrt(k))), which holds
-    where d_d^2, 2 k or d_d + hypot(d_d, 2 sqrt(k)) overflows; a k
-    that overflows itself (c below lam d_d / 2.3e309) gives NaN.
+    d_s^2 + d_d d_s - t d_d = 0, t = lam / (4 pi c), taken without
+    cancellation and divided through by d_d as
+    t / (1/2 + hypot(1/2, sqrt(t) / sqrt(d_d))), which holds where d_d^2,
+    t / d_d or the k = t d_d of the undivided root overflows (a BS at
+    1e300 m and gamma 1e300, or at 1e-160 m). It gives NaN where t
+    overflows (c below lam / 2.3e309); sqrt(t) / sqrt(d_d) overflows
+    only where the radius, about sqrt(t d_d), is below 5e-140 lam at any
+    c the gaussian inverse gives, under the near-field floor below.
 
     c = 0 (every target met everywhere) returns inf; it occurs only
     where the gaussian inverse's nm (2 gamma + 1) overflows, gamma above
@@ -214,10 +218,8 @@ def range_estimate(sc: CoverageScenario, ber_target: float) -> float:
     if c == 0.0:
         return math.inf
     lam = sc.wavelength
-    d_d = sc.d_d
-    k = lam * d_d / (_FOUR_PI * c)
-    half = 0.5 * d_d  # 2 k and d_d + hypot would overflow past 9e307
-    r = k / (half + math.hypot(half, math.sqrt(k)))
+    t = lam / (_FOUR_PI * c)
+    r = t / (0.5 + math.hypot(0.5, math.sqrt(t) / math.sqrt(sc.d_d)))
     if not r > lam * 1e-9:
         warnings.warn("BER target unreachable for this geometry and SNR")
         return float("nan")

@@ -15,6 +15,7 @@ from ambcsim.ber_theory import (
     _REL_TOL,
     DetectionParams,
     SeriesError,
+    _excess_for_target,
     _gaussian_ber_u,
     _params_for_u,
     _poisson_cdf,
@@ -25,10 +26,10 @@ from ambcsim.ber_theory import (
     exact_ber,
     fsk_coherent_ber,
     gaussian_ber,
-    iota_magnitude_for_target,
     params_for_scheme,
 )
 from ambcsim.channel import ChannelSet, composite_gain, from_db, snr_per_bit
+from ambcsim.coverage import CoverageScenario
 from ambcsim.specfun import q_func, q_inv
 from oracles import (EXACT_BER_SMALL, EXACT_BER_SWEEP, F_CDF_8_16_4,
                      REG_BETA_HALF_576_577)
@@ -138,6 +139,11 @@ class TestPoissonWindow:
         with pytest.raises(SeriesError):
             doubly_noncentral_f_cdf(1.0, 4, 4, lam, 1.0)
 
+    def test_non_finite_cdf_raises_series_error(self, monkeypatch):
+        monkeypatch.setattr(ber_theory, "pdtr", lambda k, mu: math.nan)
+        with pytest.raises(SeriesError, match="CDF is not finite"):
+            _poisson_cdf(3, 2.0)
+
     def test_series_error_is_public_runtime_error(self):
         assert ambcsim.SeriesError is SeriesError
         assert issubclass(SeriesError, RuntimeError)
@@ -199,6 +205,11 @@ def test_quantile_walk_matches_bisection(monkeypatch):
     assert mismatched == []
     # both outcomes are exercised
     assert 0 < sum(isinstance(o, str) for o in walked) < len(means)
+    # each window holds 1 - _REL_TOL / 2 of its mass as its quantiles are
+    short = [mu for mu, o in zip(means, walked) if not isinstance(o, str)
+             and _poisson_cdf(o[0] + len(o[1]) // 8 - 1, mu)
+             - _poisson_cdf(o[0] - 1, mu) < 1.0 - _REL_TOL / 2.0]
+    assert short == []
 
 
 def _reg_beta_table_j_major(x, a0, b0, nj, nk):
@@ -560,57 +571,62 @@ class TestBerVsIota:
 
 
 class TestIotaTarget:
+    """_excess_for_target, the gaussian inverse behind range_estimate:
+    u* - 1 for the |1 + iota|^2 = u* at which the BER hits the target."""
+
     def test_round_trip(self):
         for target in (0.3, 0.1, 1e-2, 1e-4):
-            u = iota_magnitude_for_target(target, 10.0, 288, 4)
-            iota = math.sqrt(u) - 1.0
-            back = ber_vs_iota(iota, 10.0, 288, 4, engine="gaussian")
+            e = _excess_for_target(target, 10.0, 288, 4)
+            back = _gaussian_ber_u(1.0 + e, 10.0, 1152)
             assert back == pytest.approx(target, rel=1e-9)
 
     def test_half_target_needs_no_motion(self):
-        assert iota_magnitude_for_target(0.5, 10.0, 288, 4) == 1.0
+        assert _excess_for_target(0.5, 10.0, 288, 4) == 0.0
 
     def test_monotone_in_target(self):
-        us = [iota_magnitude_for_target(t, 10.0, 288, 4)
+        es = [_excess_for_target(t, 10.0, 288, 4)
               for t in (0.4, 0.1, 1e-2, 1e-3)]
-        assert np.all(np.diff(us) > 0)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            iota_magnitude_for_target(0.0, 10.0, 288, 4)
-        with pytest.raises(ValueError):
-            iota_magnitude_for_target(0.6, 10.0, 288, 4)
-        with pytest.raises(ValueError):
-            iota_magnitude_for_target(0.1, -1.0, 288, 4)
+        assert np.all(np.diff(es) > 0)
 
     @pytest.mark.parametrize("gamma, m_sc, n_chips", [
         (math.nan, 288, 4), (math.inf, 288, 4), (10.0, 0, 4),
         (10.0, 288, 0)])
     def test_rejects_what_ber_vs_iota_rejects(self, gamma, m_sc, n_chips):
-        # NaN and inf gamma gave NaN, m_sc = 0 a ZeroDivisionError
-        with pytest.raises(ValueError):
-            iota_magnitude_for_target(0.1, gamma, m_sc, n_chips)
+        # the inverse does not check its inputs: its one route,
+        # range_estimate, takes them from a CoverageScenario, which
+        # rejects them as ber_vs_iota does (range_estimate's target
+        # check is coverage's test_target_domain)
         with pytest.raises(ValueError):
             ber_vs_iota(0.1, gamma, m_sc, n_chips, engine="gaussian")
+        with pytest.raises(ValueError):
+            CoverageScenario(bs_pos=(50.0, 0.0), ue_pos=(0.0, 0.0),
+                             carrier_freq_hz=782e6, gamma=gamma, m_sc=m_sc,
+                             n_chips=n_chips)
 
     @pytest.mark.parametrize("m_sc, n_chips", [(288, 4), (1, 2)])
     @pytest.mark.parametrize("gamma", [7.9e304, 1e306, 1e308])
     def test_huge_gamma_needs_no_motion(self, gamma, m_sc, n_chips):
-        # nm * (2 gamma + 1) overflows there: the bare formula gave +inf
-        # at 7.9e304 and NaN at 1e306 and 1e308 (m_sc 288, N 4)
-        assert iota_magnitude_for_target(0.1, gamma, m_sc, n_chips) == 1.0
+        # where nm * (2 gamma + 1) overflows the bare formula gives +inf
+        # (7.9e304 at m_sc 288, N 4) or NaN (1e306, 1e308) and the
+        # inverse 0; below that (nm = 2 up to 4.5e307) the excess is
+        # tiny, and 1 + e rounds to 1 either way
+        e = _excess_for_target(0.1, gamma, m_sc, n_chips)
+        if math.isfinite(m_sc * n_chips * (2.0 * gamma + 1.0)):
+            assert 0.0 < e < 1e-150
+        else:
+            assert e == 0.0
 
     def test_finite_inputs_keep_the_formula_bits(self):
         def formula(target, gamma, m_sc, n_chips):
             z = q_inv(target)
             nm = float(n_chips * m_sc)
-            return 1.0 + (2.0 * z * z + 2.0 * z * math.sqrt(
+            return (2.0 * z * z + 2.0 * z * math.sqrt(
                 z * z + nm * (2.0 * gamma + 1.0))) / (nm * gamma)
 
         for target in (0.4, 0.1, 1e-2, 1e-6, 1e-300):
             for gamma in (1e-300, 1e-6, 0.5, 10.0, 1e6, 1e300, 7.7e304):
                 for m_sc, n_chips in ((1, 2), (12, 2), (288, 4)):
-                    assert iota_magnitude_for_target(
+                    assert _excess_for_target(
                         target, gamma, m_sc, n_chips) == formula(
                         target, gamma, m_sc, n_chips)
 

@@ -63,6 +63,14 @@ class TestParsers:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_grid("1:2:3:4")
 
+    def test_grid_point_cap(self):
+        # counted before a point is built: one point above the cap is
+        # refused like an infinite count; the cap itself is a grid
+        assert len(parse_grid("1:1:1000000")) == 10**6
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="too many points"):
+            parse_grid("0:1:1000000")
+
     def test_pair(self):
         assert parse_pair("50,0") == (50.0, 0.0)
         with pytest.raises(argparse.ArgumentTypeError):

@@ -692,14 +692,29 @@ class TestRangeEstimate:
             assert abs(c / (mp.sqrt(mp.mpf(u_star)) - 1) - 1) <= 4.5e-16
 
     def test_far_base_station(self):
-        # d_d^2 overflows beyond 1.3e154 m, and 2 k beyond 9e307 (at
-        # 1e308 the radius read NaN); the radius tends to lam / (4 pi c)
-        # as d_d grows
-        for d_d in (1e200, 1e308):
-            sc = default_scenario(bs_pos=(d_d, 0.0))
+        # d_d^2 overflows beyond 1.3e154 m, 2 k beyond 9e307, and
+        # k = lam d_d / (4 pi c) itself at 1e300 m and gamma 1e300
+        # (c = 9.7e-152), so the root must be taken divided through by
+        # d_d; the radius tends to lam / (4 pi c) as d_d grows, and stays
+        # within the 4e-15 of test_required_iota_and_radius_match_mpmath
+        for d_d, gamma in ((1e200, 10.0), (1e308, 10.0), (1e300, 1e300)):
+            sc = default_scenario(bs_pos=(d_d, 0.0), gamma=gamma)
             c = coverage._required_iota(sc, 1e-2)
-            assert range_estimate(sc, 1e-2) == pytest.approx(
+            got = range_estimate(sc, 1e-2)
+            assert got == pytest.approx(
                 sc.wavelength / (4.0 * math.pi * c), rel=1e-14, abs=0.0)
+            assert _radius_error(sc, c, got) <= 4e-15, (d_d, gamma)
+
+    def test_near_base_station_at_huge_snr(self):
+        # t / d_d = lam / (4 pi c d_d) overflows at 1e-160 m and gamma
+        # 1e300, so sqrt(t) and sqrt(d_d) are taken apart; the radius is
+        # about sqrt(t d_d), 5.6e-6 m
+        sc = default_scenario(bs_pos=(1e-160, 0.0), gamma=1e300)
+        c = coverage._required_iota(sc, 1e-2)
+        got = range_estimate(sc, 1e-2)
+        assert got == pytest.approx(math.sqrt(
+            sc.wavelength / (4.0 * math.pi * c) * 1e-160), rel=1e-14)
+        assert _radius_error(sc, c, got) <= 4e-15
 
     def test_gaussian_range_runs_no_search(self, monkeypatch):
         def no_search(*args):
@@ -719,3 +734,40 @@ class TestRangeEstimate:
                             lambda *args: math.nan)
         with pytest.warns(UserWarning, match="unreachable"):
             assert math.isnan(range_estimate(default_scenario(), 1e-2))
+
+
+def _radius_error(sc, c, got):
+    """Relative error of a range against the 50-digit positive root of
+    d_s^2 + d_d d_s - k = 0, k = lam d_d / (4 pi c), for the double c."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        d = mp.mpf(sc.d_d)
+        k = mp.mpf(sc.wavelength) * d / (4 * mp.pi * c)
+        return float(abs(got / (2 * k / (d + mp.sqrt(d * d + 4 * k))) - 1))
+
+
+class TestDecreasingRoot:
+    """The exact range's bracket and bisection, on synthetic decreasing
+    functions."""
+
+    def test_no_root_above_lo_warns_nan(self):
+        with pytest.warns(UserWarning, match="unreachable"):
+            assert math.isnan(coverage._decreasing_root(
+                lambda u: -u, 1.0, 2.0, 1e-9))
+
+    def test_bracket_doubles_until_it_holds_the_root(self):
+        seen = []
+
+        def f(u):
+            seen.append(u)
+            return 100.0 - u
+
+        root = coverage._decreasing_root(f, 1.0, 2.0, 1e-9)
+        assert root == pytest.approx(100.0, rel=1e-9)
+        assert seen[1:9] == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 64.5]
+
+    def test_no_bracket_warns_nan(self):
+        # f stays positive: hi doubles _MAX_STEPS times, to 2^201
+        with pytest.warns(UserWarning, match="no finite bracket"):
+            assert math.isnan(coverage._decreasing_root(
+                lambda u: 1.0, 1.0, 2.0, 1e-9))
