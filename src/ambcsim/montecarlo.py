@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,6 +84,8 @@ class SweepConfig:
         for d in self.detectors:
             if d not in DETECTOR_KINDS:
                 raise ValueError(f"unknown detector kind: {d}")
+        if len(set(self.detectors)) < len(self.detectors):
+            raise ValueError("detectors must not repeat")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -203,18 +206,22 @@ def _simulate_shard(cfg: SweepConfig, gamma_db: float, point_index: int,
 
 
 def _pool_map(fn, tasks, threads: int):
-    """fn(*task) for each argument tuple in tasks, in task order: in this
-    process when threads is 1, else in a pool of that many spawned
-    worker processes (fn must be a module-level function). threads
-    below 1 is a ValueError."""
+    """fn(*task) for each argument tuple in tasks, in task order, in a
+    pool of spawned worker processes (fn must be a module-level
+    function). threads is an upper bound: the pool has no more workers
+    than tasks or than CPUs this process may run on, and one worker is
+    this process. threads below 1 is a ValueError."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    if threads == 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    workers = min(threads, len(tasks), cpus)
+    if workers == 1:
         return [fn(*t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    with ProcessPoolExecutor(max_workers=threads,
+    with ProcessPoolExecutor(max_workers=workers,
                              mp_context=get_context("spawn")) as ex:
         return list(ex.map(fn, *zip(*tasks), chunksize=1))
 
@@ -373,7 +380,7 @@ def replicate_measurement(cfg: SweepConfig, threads: int = 1):
     into 0.25 dB gamma_b bins. Frames whose synchronizer misses the
     true start are logged with sync_ok false but contribute no bits to
     the bins. Returns (BerPoint rows incl. the coherent-FSK theory overlay,
-    packet log). With threads > 1 the SNR points run in that many
+    packet log). With threads > 1 the SNR points run in up to that many
     worker processes and merge in point order, so the output does not
     depend on threads.
     """

@@ -5,32 +5,34 @@ Bessel orders of a few hundred, arguments from 1e-6 up to 1e6, and tail
 probabilities down to 1e-12. Every input must be finite, except that
 Q takes +-inf.
 
-`log_bessel_i` takes each element by its order. Orders of 50 and above
-come from the uniform (Debye) asymptotic expansion, DLMF 10.41.3, in
-numpy, with ten terms whose polynomials U_k(p) are built once in exact
-rationals from the recurrence DLMF 10.41.9. Lower orders come from
-scipy's exponentially scaled `ive`, and from a log-domain ascending
-series where `ive` underflows to zero; so do arguments below 1e-300 at
-any order, where x / order would no longer be a normal double. x = 0
-takes its closed form at every order: ln I_0(0) = 0, -inf above.
+`log_bessel_i` takes one order per call, and the order picks the path
+once. x = 0 takes its closed form at every order: ln I_0(0) = 0, -inf
+above. At orders of 50 and above, x >= 1e-300 comes from the uniform
+(Debye) asymptotic expansion, DLMF 10.41.3, in numpy, with ten terms
+whose polynomials U_k(p) are built once in exact rationals from the
+recurrence DLMF 10.41.9; below 1e-300, where x / order would no longer
+be a normal double, x comes from a log-domain ascending series. Lower
+orders come from scipy's exponentially scaled `ive`, and from the same
+series where `ive` underflows to zero. The series takes its log-gamma
+terms from `math.lgamma`.
 
-The Q function is `math.erfc`, element by element. Its inverse starts
-from the stdlib's `statistics.NormalDist().inv_cdf`, which is Wichura's
-AS241 (Appl. Statist. 37, 1988), and takes one Newton step on Q. Both
-follow the platform's libm rather than a scipy version, and Q^-1 also
-CPython's build of AS241. glibc's `erfc` is within 3.1e-16 relative of
-40-digit values for x / sqrt(2), x from 0.5 to 37.5; other libms were
-not checked.
+The Q function is `math.erfc`, element by element. Its inverse takes
+one p, starts from the stdlib's `statistics.NormalDist().inv_cdf`,
+which is Wichura's AS241 (Appl. Statist. 37, 1988), and takes one
+Newton step on Q. Both follow the platform's libm rather than a scipy
+version, and Q^-1 also CPython's build of AS241. glibc's `erfc` is
+within 3.1e-16 relative of 40-digit values for x / sqrt(2), x from 0.5
+to 37.5; other libms were not checked.
 
 This is the one module that takes numerics from scipy. Each import
 waits for its first use: `scipy.special` for the exact series in
-`ber_theory` (`betainc`, `gammaln` and `pdtr` from here) and Bessel
-orders below 50 at x > 0, `statistics` (which loads `fractions`) for
-`q_inv`, and `fractions` for Bessel orders of 50 and above. Importing
-the package loads no scipy module, and neither do `replicate`,
-`compare` and `coverage --engine gaussian` unless an element takes the
-`ive` path; `theory`, `simulate` (its theory rows) and
-`coverage --engine exact` do.
+`ber_theory` (`betainc`, `gammaln` and `pdtr` from here) and for
+Bessel orders below 50 at x > 0, `statistics` (which loads
+`fractions`) for `q_inv`, and `fractions` for Bessel orders of 50 and
+above. Importing the package loads no scipy module; an order of 50 or
+above never does, so neither do `replicate`, `compare` and
+`coverage --engine gaussian` at an `--msc` of 51 or more. `theory`,
+`simulate` (its theory rows) and `coverage --engine exact` do.
 """
 
 from __future__ import annotations
@@ -76,28 +78,22 @@ def _log_iv_series(order, x):
     # Only used where ive underflows (x small relative to v), so a few
     # dozen terms are far more than enough.
     k = np.arange(_SERIES_TERMS, dtype=float)[:, None]
-    # x / 2 rounds to 0 at the smallest subnormal x: ln x - ln 2 there
-    half = x / 2.0
-    tiny = half == 0.0
-    log_half = np.log(np.where(tiny, x, half)) - np.where(tiny, _LOG2, 0.0)
-    lt = (order + 2.0 * k) * log_half \
-        - gammaln(k + 1.0) - gammaln(order + k + 1.0)
+    lg = np.array([[math.lgamma(j + 1.0) + math.lgamma(order + j + 1.0)]
+                   for j in range(_SERIES_TERMS)])
+    # ln x - ln 2, not ln(x / 2): x / 2 rounds below the normal range
+    lt = (order + 2.0 * k) * (np.log(x) - _LOG2) - lg
     m = lt.max(axis=0)
     return m + np.log(np.exp(lt - m).sum(axis=0))
 
 
 def _log_iv_scaled(v, x):
     # at x > 0: ln ive(v, x) + x, or the ascending series where it is 0
-    out = np.empty(v.shape)
-    if not v.size:
-        # nothing below the expansion's range: scipy stays unloaded
-        return out
     from scipy.special import ive
-    scaled = ive(v, x)
-    ok = scaled > 0.0
-    out[ok] = np.log(scaled[ok]) + x[ok]
-    if not np.all(ok):
-        out[~ok] = _log_iv_series(v[~ok], x[~ok])
+    with np.errstate(divide="ignore"):
+        out = np.log(ive(v, x)) + x
+    under = out == -np.inf
+    if np.any(under):
+        out[under] = _log_iv_series(v, x[under])
     return out
 
 
@@ -134,7 +130,7 @@ def _debye_poly(nu):
     return tuple(float(c) for c in reversed(coef))
 
 
-def _log_iv_debye_one(nu, x):
+def _log_iv_debye(nu, x):
     # DLMF 10.41.3 with x = nu w, p = (1 + w^2)^(-1/2) and
     # eta = sqrt(1 + w^2) + ln(w / (1 + sqrt(1 + w^2))):
     #   ln I_nu(x) = nu eta - ln(2 pi nu) / 2 + ln(p) / 2
@@ -154,32 +150,31 @@ def _log_iv_debye_one(nu, x):
 
 
 def log_bessel_i(order, x):
-    """ln I_order(x) for finite order >= 0 and finite x >= 0,
-    elementwise; ln I_v(0) is -inf for v > 0.
+    """ln I_order(x) for one finite order >= 0 and finite x >= 0, x a
+    scalar or an array; ln I_v(0) is -inf for v > 0.
 
-    Each element takes the path its order selects (see the module
-    docstring), so a scalar order and the same order inside an array
-    give the same bits.
+    The order picks the path (see the module docstring), and a scalar x
+    and the same x inside an array give the same bits.
     """
-    o_in = np.asarray(order, dtype=float)
-    x_in = np.asarray(x, dtype=float)
-    scalar = o_in.ndim == 0 and x_in.ndim == 0
-    v, xx = np.broadcast_arrays(np.atleast_1d(o_in), np.atleast_1d(x_in))
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(xx))):
-        raise ValueError("log_bessel_i requires a finite order and x")
-    if np.any(v < 0.0) or np.any(xx < 0.0):
-        raise ValueError("log_bessel_i requires order >= 0 and x >= 0")
+    if np.ndim(order):
+        raise ValueError(f"log_bessel_i takes one order, not {order!r}")
+    v = float(order)
+    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    if not (0.0 <= v < math.inf and np.all((0.0 <= xx) & (xx < np.inf))):
+        raise ValueError("log_bessel_i requires a finite order >= 0 and "
+                         "finite x >= 0")
 
-    # one pass per distinct large order, then one for the rest, so
-    # every element sees the same operations whatever shares its call
-    debye = (v >= _DEBYE_MIN_ORDER) & (xx >= _DEBYE_MIN_X)
-    out = np.where(v == 0.0, 0.0, -np.inf)  # ln I_v(0), a closed form
-    for nu in np.unique(v[debye]):
-        sel = debye & (v == nu)
-        out[sel] = _log_iv_debye_one(float(nu), xx[sel])
-    rest = ~debye & (xx > 0.0)
-    out[rest] = _log_iv_scaled(v[rest], xx[rest])
-    return float(out[0]) if scalar else out
+    out = np.full(xx.shape, 0.0 if v == 0.0 else -np.inf)  # ln I_v(0)
+    rest = xx > 0.0
+    if v >= _DEBYE_MIN_ORDER:
+        debye = xx >= _DEBYE_MIN_X
+        out[debye] = _log_iv_debye(v, xx[debye])
+        rest &= ~debye
+    if np.any(rest):
+        # ive would underflow at a large order and x below 1e-300
+        low = _log_iv_series if v >= _DEBYE_MIN_ORDER else _log_iv_scaled
+        out[rest] = low(v, xx[rest])
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def q_func(x):
@@ -188,28 +183,22 @@ def q_func(x):
     x = np.asarray(x, dtype=float)
     if np.any(np.isnan(x)):
         raise ValueError("q_func requires x that is not NaN")
-    out = 0.5 * _elementwise(math.erfc, x / _SQRT2)
+    erfc = map(math.erfc, (x / _SQRT2).ravel().tolist())
+    out = 0.5 * np.fromiter(erfc, float, x.size).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _elementwise(f, a):
-    """f of a float to a float, mapped over the array a."""
-    return np.fromiter(map(f, a.ravel().tolist()), float,
-                       a.size).reshape(a.shape)
-
-
 def q_inv(p):
-    """Inverse of q_func on (0, 1)."""
-    p_in = np.asarray(p, dtype=float)
-    if not np.all((p_in > 0.0) & (p_in < 1.0)):
-        raise ValueError("q_inv requires 0 < p < 1")
+    """Inverse of q_func on (0, 1), for one p."""
+    if np.ndim(p) or not 0.0 < p < 1.0:
+        raise ValueError(f"q_inv takes one p with 0 < p < 1, not {p!r}")
     from statistics import NormalDist
 
-    z = -_elementwise(NormalDist().inv_cdf, p_in)
+    z = -NormalDist().inv_cdf(p)
     # One Newton step pins the q_func round trip to machine precision.
     # Skipped where the normal pdf underflows (|z| > ~38): the start
     # alone is already as good as doubles allow out there.
     pdf = np.exp(-0.5 * z * z - 0.5 * _LOG_2PI)
-    step = np.where(pdf > 0.0, (q_func(z) - p_in) / np.maximum(pdf, 1e-300), 0.0)
-    z = z + step
-    return float(z) if z.ndim == 0 else z
+    if pdf > 0.0:
+        z += (q_func(z) - p) / max(pdf, 1e-300)
+    return float(z)

@@ -150,3 +150,52 @@ def log_bessel_mp(order, x: float, dps: int = 40) -> float:
 
     with mp.workdps(dps):
         return float(mp.log(mp.besseli(order, mp.mpf(x))))
+
+
+# ---------------------------------------------------------------------------
+# closed-form exact BER (Proakis and Salehi, Digital Communications, App. B)
+# ---------------------------------------------------------------------------
+
+def exact_ber_closed_form(L: int, s_big: float, s_small: float,
+                          dps: int = 60) -> float:
+    """Pr(Y_big <= Y_small) for independent noncentral chi-squares with
+    2L degrees of freedom each and noncentralities 2 s_big > 2 s_small
+    > 0, by the equal-variance closed form of Proakis and Salehi,
+    App. B. With a = sqrt(s_small), b = sqrt(s_big) and
+    E = exp(-(a^2 + b^2) / 2):
+
+        P = Q_1(a, b) - E I_0(ab)
+            + E 2^(1-2L) [ I_0(ab) sum_{k<L} C(2L-1, k)
+                           + sum_{n=1}^{L-1} I_n(ab)
+                             sum_{k<=L-1-n} C(2L-1, k) ((b/a)^n - (a/b)^n) ]
+
+    where Q_1(a, b) = E sum_{k>=0} (a/b)^k I_k(ab), so Q_1 - E I_0 is
+    the sum from k = 1 and every term is positive. Every I_n(ab) comes
+    from one Miller backward recurrence, normalised by
+    mpmath.besseli(0, ab), at `dps` digits.
+
+    exact_ber(DetectionParams) is this at L = m_sc n_chips / 2 and
+    s = L h^2 / noise_power for each state's squared gain.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, b = mp.sqrt(mp.mpf(s_small)), mp.sqrt(mp.mpf(s_big))
+        x, rho = a * b, a / b
+        # I_top / I_n is below 10^-dps for every n up to top / 2, and so
+        # are the Q_1 terms past top / 2
+        digits = dps * math.log(10.0)
+        top = L + 2 * int(math.sqrt(2.0 * float(x) * digits) + 2 * digits) \
+            + 20
+        f = [mp.mpf(0)] * (top + 2)
+        f[top] = mp.mpf(1)
+        for n in range(top, 0, -1):
+            f[n - 1] = f[n + 1] + (2 * n / x) * f[n]
+        r = [fn / f[0] for fn in f]  # I_n(ab) / I_0(ab)
+        q1_rest = mp.fsum(rho ** k * r[k] for k in range(1, top // 2))
+        c = [math.comb(2 * L - 1, k) for k in range(L)]
+        cum = [sum(c[:L - n]) for n in range(L)]  # sum_{k<=L-1-n}
+        bracket = mp.fsum([cum[0]] + [
+            r[n] * cum[n] * (rho ** -n - rho ** n) for n in range(1, L)])
+        e_i0 = mp.exp(-(a * a + b * b) / 2) * mp.besseli(0, x)
+        return float(e_i0 * (q1_rest + bracket / mp.mpf(2) ** (2 * L - 1)))

@@ -257,7 +257,7 @@ def test_knob_counts_are_pinned():
 
 # Lines of code in src/: non-blank lines outside comments and
 # docstrings, as tokenize sees them.
-_CODE_LINES = 1525
+_CODE_LINES = 1524
 
 _LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENDMARKER}

@@ -32,7 +32,7 @@ from ambcsim.channel import ChannelSet, composite_gain, from_db, snr_per_bit
 from ambcsim.coverage import CoverageScenario
 from ambcsim.specfun import q_func, q_inv
 from oracles import (EXACT_BER_SMALL, EXACT_BER_SWEEP, F_CDF_8_16_4,
-                     REG_BETA_HALF_576_577)
+                     REG_BETA_HALF_576_577, exact_ber_closed_form)
 
 
 def sweep_params(gamma_db):
@@ -396,6 +396,60 @@ class TestExactBer:
             p = sweep_params(gdb)
             e, g = exact_ber(p), gaussian_ber(p)
             assert abs(g - e) / e < 0.1
+
+
+def _closed_form(p, dps=60):
+    """exact_ber_closed_form at the L = nu / 2 and s = lambda / 2 that
+    exact_ber forms from p (lambda = nu h^2 / noise_power)."""
+    nu = p.m_sc * p.n_chips
+    s_small, s_big = sorted(nu * h / p.noise_power / 2.0
+                            for h in (p.h_on_sq, p.h_off_sq))
+    return exact_ber_closed_form(nu // 2, s_big, s_small, dps)
+
+
+class TestClosedFormOracle:
+    """exact_ber against the equal-variance closed form of Proakis and
+    Salehi, App. B, in tests/oracles.py: Bessel sums in mpmath, with no
+    Poisson window and no incomplete beta."""
+
+    def test_frozen_values(self):
+        pytest.importorskip("mpmath")
+        small = DetectionParams(m_sc=2, n_chips=2, h_on_sq=4.0,
+                                h_off_sq=1.0, noise_power=1.0)
+        assert f"{_closed_form(small):.12e}" == f"{EXACT_BER_SMALL:.12e}"
+        # Pr(X1 / X2 <= 1) at nu = 8 and lambdas (16, 4)
+        assert f"{exact_ber_closed_form(4, 8.0, 2.0):.12e}" \
+            == f"{F_CDF_8_16_4:.12e}"
+
+    @pytest.mark.parametrize("gamma_db, u, m_sc, n_chips", [
+        (0.0, 1.73, 6, 4), (5.0, 3.0, 1, 4), (5.0, 1.73, 6, 4),
+        (10.0, 3.0, 1, 2), (0.0, 1.01, 288, 4), (10.0, 1.01, 144, 4),
+        (5.0, 0.5, 6, 4), (0.0, 0.3, 2, 4)])
+    def test_body_points(self, gamma_db, u, m_sc, n_chips):
+        pytest.importorskip("mpmath")
+        p = _params_for_u(u, from_db(gamma_db), m_sc, n_chips)
+        ref = _closed_form(p)
+        assert abs(exact_ber(p) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("u", [1.2, 1.1419693638416863])
+    def test_oracle_holds_its_digits(self, u):
+        # 60 and 120 working digits give the same double
+        pytest.importorskip("mpmath")
+        p = _params_for_u(u, 10.0, 288, 4)
+        assert _closed_form(p) == _closed_form(p, dps=120)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "CHANGES.md FOUND line on exact_ber's err0/err1 average: err1 = "
+        "1 - F carries the series' truncation residue, about 1e-12 "
+        "absolute (ROADMAP item 5)"))
+    @pytest.mark.parametrize("u", [1.2, 1.1419693638416863])
+    def test_deep_tail_points(self, u):
+        # the series reads 3.496e-13 against 6.9926e-13 at u = 1.2, and
+        # is 1.05e-5 relative off at u = 1.14197
+        pytest.importorskip("mpmath")
+        p = _params_for_u(u, 10.0, 288, 4)
+        ref = _closed_form(p)
+        assert abs(exact_ber(p) - ref) <= 1e-12 * ref
 
 
 def _dense_u_sweep():

@@ -219,6 +219,12 @@ class TestConfigFile:
                      id="config-threads-negative"),
         pytest.param(None, ["theory", "--gamma", "0:1e-320:1e10"],
                      id="theory-gamma-infinite-points"),
+        pytest.param(None, ["compare", "--gamma", "0", "--realizations",
+                            "100", "--detectors", "Correlation,Correlation"],
+                     id="compare-repeated-detector"),
+        pytest.param(None, ["simulate", "--symbols", "100", "--detectors",
+                            "Power,BesselMap,Power"],
+                     id="simulate-repeated-detector"),
     ])
     def test_unknown_key_is_usage_error(self, tmp_path, text, argv):
         cfgf = tmp_path / "run.cfg"

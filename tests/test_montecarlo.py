@@ -1,5 +1,7 @@
 """Seeded sweep harness, receiver comparison, and measurement replica."""
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -50,6 +52,8 @@ class TestConfigValidation:
             small_cfg(detectors=())
         with pytest.raises(ValueError):
             small_cfg(detectors=("Correlation", "Psychic"))
+        with pytest.raises(ValueError, match="repeat"):
+            small_cfg(detectors=("Correlation", "Power", "Correlation"))
         with pytest.raises(ValueError):
             small_cfg(seed=-1)
 
@@ -64,6 +68,70 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="threads"):
             replicate_measurement(measurement_config((8.0,), 303),
                                   threads=threads)
+
+
+class _RecordingPool:
+    """ProcessPoolExecutor stand-in: runs the tasks in this process and
+    records the pool size each pool was asked for."""
+
+    def __init__(self, max_workers, mp_context, sizes):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+class TestPoolMap:
+    """--threads is an upper bound on the worker processes."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor",
+            lambda max_workers, mp_context: _RecordingPool(
+                max_workers, mp_context, sizes))
+        return sizes
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    # threads, tasks, CPUs -> the pool size (None: no pool)
+    @pytest.mark.parametrize("threads, n_tasks, cpus, size", [
+        (4000, 4040, 2, 2), (3, 5, 8, 3), (8, 3, 16, 3), (2, 1, 4, None),
+        (4, 6, 1, None), (1, 6, 4, None)])
+    def test_pool_size(self, monkeypatch, sizes, threads, n_tasks, cpus,
+                       size):
+        self._cpus(monkeypatch, cpus)
+        tasks = [(i, 2) for i in range(n_tasks)]
+        assert montecarlo._pool_map(pow, tasks, threads) \
+            == [i * i for i in range(n_tasks)]
+        assert sizes == ([] if size is None else [size])
+
+    def test_cpu_count_without_affinity(self, monkeypatch, sizes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        montecarlo._pool_map(pow, [(i, 2) for i in range(9)], 64)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        montecarlo._pool_map(pow, [(i, 2) for i in range(9)], 64)
+        assert sizes == [3]
+
+    def test_sweep_with_many_threads(self, monkeypatch, sizes):
+        # 3 points of 2 shards each: 6 tasks, so 6 workers at most
+        self._cpus(monkeypatch, 64)
+        cfg = small_cfg(snr_grid_db=(4.0, 6.0, 8.0), n_symbols_per_point=3000)
+        assert len(montecarlo._shard_sizes(3000)) == 2
+        assert run_ber_sweep(cfg, threads=4000) == run_ber_sweep(cfg)
+        assert sizes == [6]
 
 
 class TestWilson:
