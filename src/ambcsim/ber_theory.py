@@ -91,9 +91,7 @@ def _window_overflow():
 
 
 def _poisson_cdf(k, mu):
-    """Poisson(mu) CDF at integer k, 0 below the support."""
-    if k < 0:
-        return 0.0
+    """Poisson(mu) CDF at integer k >= 0."""
     c = float(pdtr(k, mu))
     if not math.isfinite(c):
         raise SeriesError(f"Poisson CDF is not finite at mean {mu!r}")

@@ -4,12 +4,13 @@ Subcommands: theory | simulate | compare | coverage | replicate.
 Common flags: --seed, --config, --out-dir, --threads. Each key=value
 line of a flat config file is the flag --key=value (a boolean key gives
 the bare flag when true and nothing when false), placed before the
-command line's own flags, so those win. Every run
-writes its CSV outputs plus a run_manifest.json recording the argument
-list main parsed, the resolved configuration, seed, version, a SHA-256
-of the package source, timestamps, output hashes, and the environment
-(Python and numpy versions, scipy's if loaded, numpy's dispatched SIMD
-targets, platform, CPU count, OPENBLAS_NUM_THREADS).
+command line's own flags, so those win. Every run writes its CSV
+outputs plus a run_manifest.json recording the argument list main
+parsed (a config file's flags and not --config, so it re-runs without
+the file), the resolved configuration, seed, version, a SHA-256 of the
+package source, timestamps, output hashes, and the environment (Python
+and numpy versions, scipy's if loaded, numpy's dispatched SIMD targets,
+platform, CPU count, OPENBLAS_NUM_THREADS).
 
 Each cmd_* computes and returns its tables, a dict from CSV file name
 to (header, blocks); main alone writes them, then the manifest, so a
@@ -170,7 +171,12 @@ def parse_pair(text: str):
 
 
 def parse_levels(text: str):
-    return tuple(finite(p) for p in text.split(","))
+    """BER values in (0, 0.5) from a comma list: the contour levels and
+    range targets, checked before any grid work."""
+    levels = tuple(finite(p) for p in text.split(","))
+    if not all(0.0 < x < 0.5 for x in levels):
+        raise argparse.ArgumentTypeError(f"not in (0, 0.5): {text}")
+    return levels
 
 
 def parse_detectors(text: str):
@@ -492,9 +498,18 @@ def main(argv=None) -> int:
             flags = _config_flags(load_config(args.config), vars(args))
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
+        # then --config and its path are dropped, as argparse reads
+        # them (--config PATH, --config=PATH or a prefix), so the
+        # manifest's argv re-runs without the file
+        only = argparse.ArgumentParser(add_help=False)
+        only.add_argument("--config")
         at = argv.index(args.subcommand) + 1
-        args = parser.parse_args(argv[:at] + flags + argv[at:])
-    os.makedirs(args.out_dir, exist_ok=True)
+        argv = argv[:at] + flags + only.parse_known_args(argv[at:])[1]
+        args = parser.parse_args(argv)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:  # a file, or a path below one
+        parser.error(f"cannot make --out-dir {args.out_dir}: {exc.strerror}")
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     try:
         tables, status = _COMMANDS[args.subcommand](args)

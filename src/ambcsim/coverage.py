@@ -354,9 +354,11 @@ def _crossings(grid, ok, level):
                      np.where(horiz, nx - 1, nx))
     ib = i + ~horiz
     jb = j + horiz
+    # every crossed edge joins a corner above the level to one at or
+    # below it, so va != vb
     va = v[i, j]
     vb = v[ib, jb]
-    t = np.where(vb == va, 0.5, (level - va) / (vb - va))
+    t = (level - va) / (vb - va)
     pts = np.column_stack((x[j] + t * (x[jb] - x[j]),
                            y[i] + t * (y[ib] - y[i])))
     return node.reshape(-1, 2), first, pts

@@ -18,8 +18,9 @@ in-phase noise normals, then all quadrature noise normals, each as
 numbers whether such a draw is taken whole or in consecutive row
 blocks, so the path builds a chunk _BLOCK chips at a time and keeps one
 (chunk x m_sc) float array alive, the in-phase normals. The phases are
-drawn twice: skipped, then re-drawn block by block from a copy of the
-generator, since they are drawn first but used last. The result has
+drawn twice: skipped into the in-phase array, which the normals then
+overwrite, and re-drawn block by block from a copy of the generator,
+since they are drawn first but used last. The result has
 the bits, and leaves the generator in the state, of the one-shot
 formula
 
@@ -98,20 +99,21 @@ def _per_re_chunk(hh, m_sc: int, scale, rng, out):
     One (chips x m_sc) array, `a`, holds the in-phase normals; the rest
     lives a block at a time. The phases come first in the stream but
     are needed last, beside each block's quadrature normals, so they
-    are drawn twice: skipped on rng a block at a time, then re-drawn
-    block by block from a copy of rng's bit generator taken at the
-    chunk start. Both are the same uniform draws, so rng ends where the
-    one-shot draws leave it on every bit generator. Skipping with
-    advance() or raw outputs would not: PCG64's advance drops a
-    buffered 32-bit value, an MT19937 double takes two raw outputs, and
-    not every bit generator has advance(). Re and Im of
-    scale * (a + 1j * b) are exactly scale * a and scale * b, and
-    complex addition is componentwise, so the parts add separately."""
+    are drawn twice: skipped on rng as one random() draw into `a`,
+    which the in-phase normals then overwrite, and re-drawn block by
+    block from a copy of rng's bit generator taken at the chunk start.
+    uniform(0, 2 pi) and random() each take one next_double per
+    float64, so rng ends where the one-shot draws leave it on every bit
+    generator. Skipping with advance() or raw outputs would not:
+    PCG64's advance drops a buffered 32-bit value, an MT19937 double
+    takes two raw outputs, and not every bit generator has advance().
+    Re and Im of scale * (a + 1j * b) are exactly scale * a and
+    scale * b, and complex addition is componentwise, so the parts add
+    separately."""
     n = hh.shape[0]
     phases = np.random.Generator(copy.deepcopy(rng.bit_generator))
-    for lo in range(0, n, _BLOCK):
-        rng.uniform(0.0, _TWO_PI, (min(_BLOCK, n - lo), m_sc))
-    a = rng.standard_normal((n, m_sc))
+    a = rng.random((n, m_sc))
+    rng.standard_normal(out=a)
     for lo in range(0, n, _BLOCK):
         blk = a[lo:lo + _BLOCK]
         z = hh[lo:lo + _BLOCK] * np.exp(

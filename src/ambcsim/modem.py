@@ -169,11 +169,10 @@ def frame_sync(chip_llrs, alphabet: SymbolAlphabet):
     n_off = x.size - frame_len + 1
     head = x[:n_off + lt - 1]
     corr = np.correlate(head, tmpl, "valid")
-    # window energies as differences of one running sum; a sequential
-    # sum of squares never decreases, the clamp keeps sqrt defined if
-    # it were accumulated in another order
+    # window energies as differences of one running sum, which cumsum
+    # accumulates in order, so it never decreases
     e = np.concatenate(([0.0], np.cumsum(head * head)))
-    energy = np.maximum(e[lt:] - e[:n_off], 0.0)
+    energy = e[lt:] - e[:n_off]
     norms = np.sqrt(energy) * np.sqrt(tmpl @ tmpl)
     r = corr / np.maximum(norms, 1e-300)
     peak = int(np.argmax(r))

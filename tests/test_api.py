@@ -226,6 +226,21 @@ def test_no_module_reads_argparse_internals():
     assert found == []
 
 
+def test_every_relative_approx_states_its_abs():
+    # pytest.approx(x, rel=r) keeps its default abs=1e-12, so below
+    # 1e-12 / r it checks far more loosely than it reads
+    loose = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(n, ast.Call) and "approx" in (
+                    getattr(n.func, "id", None),
+                    getattr(n.func, "attr", None))):
+                keys = {k.arg for k in n.keywords}
+                if "rel" in keys and "abs" not in keys:
+                    loose.append(f"{path.name}:{n.lineno}")
+    assert loose == []
+
+
 # Knobs a user or caller can turn, counted so that growth is a decision:
 # CLI options over every subcommand (help not counted), dataclass fields
 # in the package, and the names of ambcsim.__all__.
@@ -257,7 +272,7 @@ def test_knob_counts_are_pinned():
 
 # Lines of code in src/: non-blank lines outside comments and
 # docstrings, as tokenize sees them.
-_CODE_LINES = 1524
+_CODE_LINES = 1530
 
 _LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENDMARKER}

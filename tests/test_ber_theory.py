@@ -149,6 +149,12 @@ class TestPoissonWindow:
         assert issubclass(SeriesError, RuntimeError)
 
 
+def _cdf_or_zero(k, mu):
+    """_poisson_cdf extended by 0 below the support, where the bisection
+    and the window-mass check below evaluate it."""
+    return _poisson_cdf(k, mu) if k >= 0 else 0.0
+
+
 def _poisson_quantile_bisect(p, mu):
     """The bracket-and-bisect quantile search the walk replaced, kept
     verbatim as the reference for the window equivalence test."""
@@ -156,15 +162,15 @@ def _poisson_quantile_bisect(p, mu):
     step = math.isqrt(k0) + 1
     # invariant once bracketed: CDF(below) < p <= CDF(above)
     below = above = k0
-    if _poisson_cdf(k0, mu) >= p:
-        while _poisson_cdf(above - step, mu) >= p:
+    if _cdf_or_zero(k0, mu) >= p:
+        while _cdf_or_zero(above - step, mu) >= p:
             above -= step
             step *= 2
             if k0 - above > _MAX_TERMS:
                 raise ber_theory._window_overflow()
         below = above - step
     else:
-        while _poisson_cdf(below + step, mu) < p:
+        while _cdf_or_zero(below + step, mu) < p:
             below += step
             step *= 2
             if below - k0 > _MAX_TERMS:
@@ -172,7 +178,7 @@ def _poisson_quantile_bisect(p, mu):
         above = below + step
     while above - below > 1:
         mid = (below + above) // 2
-        if _poisson_cdf(mid, mu) >= p:
+        if _cdf_or_zero(mid, mu) >= p:
             above = mid
         else:
             below = mid
@@ -207,8 +213,8 @@ def test_quantile_walk_matches_bisection(monkeypatch):
     assert 0 < sum(isinstance(o, str) for o in walked) < len(means)
     # each window holds 1 - _REL_TOL / 2 of its mass as its quantiles are
     short = [mu for mu, o in zip(means, walked) if not isinstance(o, str)
-             and _poisson_cdf(o[0] + len(o[1]) // 8 - 1, mu)
-             - _poisson_cdf(o[0] - 1, mu) < 1.0 - _REL_TOL / 2.0]
+             and _cdf_or_zero(o[0] + len(o[1]) // 8 - 1, mu)
+             - _cdf_or_zero(o[0] - 1, mu) < 1.0 - _REL_TOL / 2.0]
     assert short == []
 
 
@@ -314,14 +320,14 @@ class TestFCdf:
             for x in (0.25, 1.0, 3.0):
                 got = doubly_noncentral_f_cdf(x, nu, nu, 0.0, 0.0)
                 ref = st.f.cdf(x, nu, nu)
-                assert got == pytest.approx(ref, rel=1e-10)
+                assert got == pytest.approx(ref, rel=1e-10, abs=0)
 
     def test_singly_noncentral_matches_ncfdtr(self):
         for lam in (0.5, 4.0, 30.0):
             for x in (0.5, 1.0, 2.0):
                 got = doubly_noncentral_f_cdf(x, 8, 8, lam, 0.0)
                 ref = sp.ncfdtr(8, 8, lam, x)
-                assert got == pytest.approx(ref, rel=1e-8)
+                assert got == pytest.approx(ref, rel=1e-8, abs=0)
 
     def test_duality_at_unit_threshold(self):
         rng = np.random.default_rng(21)
@@ -333,7 +339,7 @@ class TestFCdf:
 
     def test_frozen_spot_value(self):
         got = doubly_noncentral_f_cdf(1.0, 8, 8, 16.0, 4.0)
-        assert got == pytest.approx(F_CDF_8_16_4, rel=1e-9)
+        assert got == pytest.approx(F_CDF_8_16_4, rel=1e-9, abs=0)
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.1, 5.0, 25)
@@ -354,12 +360,13 @@ class TestFCdf:
 class TestExactBer:
     def test_frozen_sweep(self):
         for gdb, ref in EXACT_BER_SWEEP.items():
-            assert exact_ber(sweep_params(gdb)) == pytest.approx(ref, rel=1e-9)
+            assert exact_ber(sweep_params(gdb)) == pytest.approx(ref, rel=1e-9,
+                                                                 abs=0)
 
     def test_frozen_small_case(self):
         p = DetectionParams(m_sc=2, n_chips=2, h_on_sq=4.0, h_off_sq=1.0,
                             noise_power=1.0)
-        assert exact_ber(p) == pytest.approx(EXACT_BER_SMALL, rel=1e-9)
+        assert exact_ber(p) == pytest.approx(EXACT_BER_SMALL, rel=1e-9, abs=0)
 
     def test_small_case_matches_sampling(self):
         # nu = 4, lambdas 16 and 4: direct chi-square ratio simulation
@@ -495,7 +502,7 @@ class TestAsymptotics:
                             noise_power=ch.noise_power)
         gb = snr_per_bit(ch, 4, 288)
         assert gaussian_ber(p) == pytest.approx(
-            float(q_func(np.sqrt(2.0 * gb))), rel=1e-12)
+            float(q_func(np.sqrt(2.0 * gb))), rel=1e-12, abs=0)
 
     def test_params_gamma_b_is_snr_per_bit(self):
         # on a constructive channel the (on, off) order is snr_per_bit's,
@@ -544,7 +551,7 @@ class TestAsymptotics:
     def test_fsk_rate(self):
         assert fsk_coherent_ber(0.0) == pytest.approx(0.5)
         assert fsk_coherent_ber(4.0) == pytest.approx(float(q_func(2.0)),
-                                                      rel=1e-12)
+                                                      rel=1e-12, abs=0)
         with pytest.raises(ValueError):
             fsk_coherent_ber(-0.1)
 
@@ -562,14 +569,14 @@ class TestBerVsIota:
                  math.sqrt(u) * np.exp(-0.7j) - 1.0]
         vals = [ber_vs_iota(i, 10.0, 288, 4, engine="gaussian")
                 for i in iotas]
-        assert vals[0] == pytest.approx(vals[1], rel=1e-12)
-        assert vals[0] == pytest.approx(vals[2], rel=1e-12)
+        assert vals[0] == pytest.approx(vals[1], rel=1e-12, abs=0)
+        assert vals[0] == pytest.approx(vals[2], rel=1e-12, abs=0)
 
     def test_conjugate_symmetry(self):
         i = 0.03 + 0.04j
         a = ber_vs_iota(i, 10.0, 288, 4)
         b = ber_vs_iota(np.conj(i), 10.0, 288, 4)
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0)
 
     def test_destructive_ratio_swaps_roles(self):
         # |1+iota| < 1 flips the gain gap; the sign-aware detector gets
@@ -579,7 +586,7 @@ class TestBerVsIota:
         got = ber_vs_iota(iota, 10.0, 288, 4)
         swapped = DetectionParams(m_sc=288, n_chips=4, h_on_sq=10.0,
                                   h_off_sq=10.0 * u, noise_power=1.0)
-        assert got == pytest.approx(exact_ber(swapped), rel=1e-12)
+        assert got == pytest.approx(exact_ber(swapped), rel=1e-12, abs=0)
         assert 1e-3 < got <= 0.5
         g = ber_vs_iota(iota, 10.0, 288, 4, engine="gaussian")
         assert abs(got - g) / got < 0.1
@@ -632,7 +639,7 @@ class TestIotaTarget:
         for target in (0.3, 0.1, 1e-2, 1e-4):
             e = _excess_for_target(target, 10.0, 288, 4)
             back = _gaussian_ber_u(1.0 + e, 10.0, 1152)
-            assert back == pytest.approx(target, rel=1e-9)
+            assert back == pytest.approx(target, rel=1e-9, abs=0)
 
     def test_half_target_needs_no_motion(self):
         assert _excess_for_target(0.5, 10.0, 288, 4) == 0.0

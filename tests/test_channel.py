@@ -49,11 +49,12 @@ class TestFsplGain:
     def test_inverse_distance_law(self):
         a = abs(fspl_gain(10.0, 0.3))
         b = abs(fspl_gain(20.0, 0.3))
-        assert a / b == pytest.approx(2.0, rel=1e-14)
+        assert a / b == pytest.approx(2.0, rel=1e-14, abs=0)
 
     def test_reference_power(self):
         h = fspl_gain(50.0, WAVELENGTH_782)
-        assert abs(h) ** 2 == pytest.approx(FSPL_POWER_50M_782, rel=1e-12)
+        assert abs(h) ** 2 == pytest.approx(FSPL_POWER_50M_782, rel=1e-12,
+                                            abs=0)
         assert to_db(abs(h) ** 2) == pytest.approx(-64.29131837, abs=1e-6)
 
     def test_phase(self):
@@ -199,7 +200,7 @@ class TestSnr:
         # the cellular-link SNR gamma = |h_d|^2 / sigma_n^2
         ch = ChannelSet(h_d=0.02, h_s=1e-4, h_b=1.0, noise_power=1e-5)
         assert abs(ch.h_d) ** 2 / ch.noise_power == pytest.approx(
-            0.02 ** 2 / 1e-5, rel=1e-12)
+            0.02 ** 2 / 1e-5, rel=1e-12, abs=0)
 
     def test_snr_per_bit_formula(self):
         ch = ChannelSet(h_d=0.02, h_s=1e-4, h_b=1.0, noise_power=1e-5)
@@ -207,12 +208,13 @@ class TestSnr:
         off = abs(composite_gain(ch, -1)) ** 2
         s2 = ch.noise_power
         expect = 4 * 288 * (on - off) ** 2 / (8 * s2 * (s2 + on + off))
-        assert snr_per_bit(ch, 4, 288) == pytest.approx(expect, rel=1e-12)
+        assert snr_per_bit(ch, 4, 288) == pytest.approx(expect, rel=1e-12,
+                                                        abs=0)
 
     def test_snr_per_bit_scales_with_chips(self):
         ch = ChannelSet(h_d=0.02, h_s=1e-4, h_b=1.0, noise_power=1e-5)
         assert snr_per_bit(ch, 8, 288) == pytest.approx(
-            2.0 * snr_per_bit(ch, 4, 288), rel=1e-12)
+            2.0 * snr_per_bit(ch, 4, 288), rel=1e-12, abs=0)
 
     def test_noise_for_gamma_b_inverts_snr_per_bit(self):
         # on the measurement channel across replicate's default grid
@@ -221,7 +223,7 @@ class TestSnr:
             gb = from_db(gb_db)
             noise = _noise_for_gamma_b(20 * 288, *_state_powers(ch), gb)
             got = snr_per_bit(replace(ch, noise_power=noise), 20, 288)
-            assert got == pytest.approx(gb, rel=1e-12)
+            assert got == pytest.approx(gb, rel=1e-12, abs=0)
 
     def test_noise_root_meets_its_bound(self):
         # the docstring's 1.3e-15 against the 50-digit root at the same
@@ -307,7 +309,7 @@ class TestSnr:
 class TestDbHelpers:
     def test_round_trip(self):
         for v in (1e-9, 1.0, 42.0):
-            assert from_db(to_db(v)) == pytest.approx(v, rel=1e-12)
+            assert from_db(to_db(v)) == pytest.approx(v, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("x_db", [3100.0, -3300.0, np.nan, np.inf])
     def test_from_db_outside_a_double_raises(self, x_db):
@@ -318,4 +320,5 @@ class TestDbHelpers:
         assert to_db(0.0) == -np.inf
 
     def test_wavelength_constant(self):
-        assert SPEED_OF_LIGHT / 782e6 == pytest.approx(WAVELENGTH_782, rel=1e-12)
+        assert SPEED_OF_LIGHT / 782e6 == pytest.approx(WAVELENGTH_782, rel=1e-12,
+                                                       abs=0)

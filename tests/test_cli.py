@@ -78,6 +78,9 @@ class TestParsers:
 
     def test_levels(self):
         assert parse_levels("0.1,0.01") == (0.1, 0.01)
+        for bad in ("0", "0.5", "0.1,0.7", "-0.1"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_levels(bad)
 
     def test_detectors(self):
         assert parse_detectors("Correlation, Power") == ("Correlation",
@@ -375,9 +378,9 @@ class TestTheoryCommand:
         assert len(rows) == 3
         by_gamma = {float(r["gamma_db"]): r for r in rows}
         assert float(by_gamma[0.0]["ber_exact"]) == pytest.approx(
-            EXACT_BER_SWEEP[0.0], rel=1e-8)
+            EXACT_BER_SWEEP[0.0], rel=1e-8, abs=0)
         assert float(by_gamma[10.0]["ber_exact"]) == pytest.approx(
-            EXACT_BER_SWEEP[10.0], rel=1e-8)
+            EXACT_BER_SWEEP[10.0], rel=1e-8, abs=0)
         doc = json.loads((tmp_path / "run_manifest.json").read_text())
         assert doc["subcommand"] == "theory"
         entry = [o for o in doc["outputs"] if o["path"] == "theory.csv"][0]
@@ -629,7 +632,7 @@ class TestCoverageCommand:
         assert len(rrows) == 1
         assert float(rrows[0]["ber_target"]) == 0.01
         assert float(rrows[0]["radius_wavelengths"]) == pytest.approx(
-            2.487679, rel=1e-4)
+            2.487679, rel=1e-4, abs=0)
         assert (tmp_path / "contours.csv").exists()
 
     def test_rerun_bytes(self, tmp_path):
@@ -761,3 +764,30 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert "--iota" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("value", ["0", "0.5", "0.7"])
+    @pytest.mark.parametrize("flag", ["--levels", "--range-targets"])
+    def test_ber_value_outside_domain_before_grid_work(
+            self, tmp_path, capsys, monkeypatch, flag, value):
+        def no_grid(sc):
+            raise AssertionError("grid work started")
+        monkeypatch.setattr(cli, "compute_ber_grid", no_grid)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as e:
+            main(["coverage", "--engine", "exact", flag, value,
+                  "--out-dir", str(out)])
+        assert e.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below"])
+    def test_out_dir_on_a_file_names_the_path(self, tmp_path, capsys,
+                                              below):
+        f = tmp_path / "a_file"
+        f.write_text("")
+        out = f / "sub" if below else f
+        with pytest.raises(SystemExit) as e:
+            main(["theory", "--gamma", "0", "--out-dir", str(out)])
+        assert e.value.code == 2
+        assert f"--out-dir {out}" in capsys.readouterr().err
+        assert f.read_text() == ""

@@ -92,7 +92,8 @@ class TestSpecs:
 
     def test_wavelength(self):
         sc = default_scenario()
-        assert sc.wavelength == pytest.approx(0.383366314578005, rel=1e-12)
+        assert sc.wavelength == pytest.approx(0.383366314578005, rel=1e-12,
+                                              abs=0)
         assert sc.d_d == 50.0
 
 
@@ -113,7 +114,7 @@ class TestBerGrid:
             if not np.isfinite(out.ber[i, j]):
                 continue
             ref = point_ber(sc, (out.x_axis[j], out.y_axis[i]))
-            assert out.ber[i, j] == pytest.approx(ref, rel=1e-9)
+            assert out.ber[i, j] == pytest.approx(ref, rel=1e-9, abs=0)
 
     def test_singularity_cells_are_nan(self):
         sc = default_scenario(bs_pos=(1.0, 0.0),
@@ -553,9 +554,9 @@ class TestReliableRegionShape:
         toward = self._crossing(sc, 0.0)
         side = self._crossing(sc, math.pi / 2.0)
         away = self._crossing(sc, math.pi)
-        assert toward == pytest.approx(1.8312, rel=0.02)
-        assert side == pytest.approx(0.1017, rel=0.02)
-        assert away == pytest.approx(0.0556, rel=0.02)
+        assert toward == pytest.approx(1.8312, rel=0.02, abs=0)
+        assert side == pytest.approx(0.1017, rel=0.02, abs=0)
+        assert away == pytest.approx(0.0556, rel=0.02, abs=0)
         # the region stretches toward the BS because the round-trip
         # phase excess vanishes on that axis
         assert toward > 10 * side > 10 * away
@@ -573,8 +574,8 @@ class TestReliableRegionShape:
         radii = np.hypot(pts[:, 0], pts[:, 1])
         # readable fringe corridors weld the near rings onto the region,
         # so the loop's inner radius sits beyond the first radial exit
-        assert radii.min() == pytest.approx(0.2187, rel=0.05)
-        assert radii.max() == pytest.approx(1.8312, rel=0.05)
+        assert radii.min() == pytest.approx(0.2187, rel=0.05, abs=0)
+        assert radii.max() == pytest.approx(1.8312, rel=0.05, abs=0)
         assert 0.25 < circularity(pts) < 0.40
 
 
@@ -583,13 +584,13 @@ class TestRangeEstimate:
         sc7 = default_scenario()
         sc25 = default_scenario(carrier_freq_hz=2560e6)
         assert range_estimate(sc7, 1e-1) == pytest.approx(RANGE_782_AT_1E1,
-                                                          rel=1e-5)
+                                                          rel=1e-5, abs=0)
         assert range_estimate(sc7, 1e-2) == pytest.approx(RANGE_782_AT_1E2,
-                                                          rel=1e-5)
+                                                          rel=1e-5, abs=0)
         assert range_estimate(sc25, 1e-1) == pytest.approx(RANGE_2560_AT_1E1,
-                                                           rel=1e-5)
+                                                           rel=1e-5, abs=0)
         assert range_estimate(sc25, 1e-2) == pytest.approx(RANGE_2560_AT_1E2,
-                                                           rel=1e-5)
+                                                           rel=1e-5, abs=0)
 
     def test_laxer_target_reads_farther(self):
         sc = default_scenario()
@@ -599,7 +600,7 @@ class TestRangeEstimate:
         # carrier ratio 782/2560 maps through the envelope geometry
         r7 = range_estimate(default_scenario(), 1e-2)
         r25 = range_estimate(default_scenario(carrier_freq_hz=2560e6), 1e-2)
-        assert r25 / r7 == pytest.approx(0.30947, rel=1e-3)
+        assert r25 / r7 == pytest.approx(0.30947, rel=1e-3, abs=0)
 
     def test_target_domain(self):
         sc = default_scenario()
@@ -619,7 +620,7 @@ class TestRangeEstimate:
     def test_exact_engine_range_close_to_gaussian(self):
         r_g = range_estimate(default_scenario(), 1e-1)
         r_e = range_estimate(default_scenario(engine="exact"), 1e-1)
-        assert r_e == pytest.approx(r_g, rel=0.05)
+        assert r_e == pytest.approx(r_g, rel=0.05, abs=0)
 
     def test_closed_form_solves_the_envelope(self):
         # the radius puts the worst-bearing envelope exactly on the
@@ -713,7 +714,7 @@ class TestRangeEstimate:
         c = coverage._required_iota(sc, 1e-2)
         got = range_estimate(sc, 1e-2)
         assert got == pytest.approx(math.sqrt(
-            sc.wavelength / (4.0 * math.pi * c) * 1e-160), rel=1e-14)
+            sc.wavelength / (4.0 * math.pi * c) * 1e-160), rel=1e-14, abs=0)
         assert _radius_error(sc, c, got) <= 4e-15
 
     def test_gaussian_range_runs_no_search(self, monkeypatch):
@@ -722,7 +723,7 @@ class TestRangeEstimate:
 
         monkeypatch.setattr(coverage, "_decreasing_root", no_search)
         assert range_estimate(default_scenario(), 1e-2) == pytest.approx(
-            RANGE_782_AT_1E2, rel=1e-5)
+            RANGE_782_AT_1E2, rel=1e-5, abs=0)
 
     @pytest.mark.parametrize("gamma", [1e306, 1e308])
     def test_unbounded_range_is_inf(self, gamma):
@@ -763,7 +764,7 @@ class TestDecreasingRoot:
             return 100.0 - u
 
         root = coverage._decreasing_root(f, 1.0, 2.0, 1e-9)
-        assert root == pytest.approx(100.0, rel=1e-9)
+        assert root == pytest.approx(100.0, rel=1e-9, abs=0)
         assert seen[1:9] == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 64.5]
 
     def test_no_bracket_warns_nan(self):

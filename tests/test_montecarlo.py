@@ -143,8 +143,8 @@ class TestWilson:
         center = (p + z * z / (2 * n)) / denom
         half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
         lo, hi = wilson_interval(k, n)
-        assert lo == pytest.approx(center - half, rel=1e-12)
-        assert hi == pytest.approx(center + half, rel=1e-12)
+        assert lo == pytest.approx(center - half, rel=1e-12, abs=0)
+        assert hi == pytest.approx(center + half, rel=1e-12, abs=0)
 
     def test_edges_clamped(self):
         lo, hi = wilson_interval(0, 50)
@@ -164,12 +164,14 @@ class TestChannelForSnr:
         for gdb in (-3.0, 0.0, 12.5):
             ch = channel_for_snr(small_cfg(), gdb)
             assert abs(ch.h_d) ** 2 / ch.noise_power == pytest.approx(
-                from_db(gdb), rel=1e-12)
+                from_db(gdb), rel=1e-12, abs=0)
 
     def test_flat_gains_scale(self):
         ch = channel_for_snr(small_cfg(), 6.0)
-        assert abs(ch.h_d) ** 2 == pytest.approx(from_db(-52.2), rel=1e-12)
-        assert abs(ch.h_s) ** 2 == pytest.approx(from_db(-82.6), rel=1e-12)
+        assert abs(ch.h_d) ** 2 == pytest.approx(from_db(-52.2), rel=1e-12,
+                                                 abs=0)
+        assert abs(ch.h_s) ** 2 == pytest.approx(from_db(-82.6), rel=1e-12,
+                                                 abs=0)
 
 
 class TestTheoryPoints:
@@ -178,20 +180,22 @@ class TestTheoryPoints:
         rows = theory_points(cfg, 6.0)
         assert [r.source for r in rows] == ["theory_exact", "theory_gaussian"]
         assert all(r.receiver == "theory" for r in rows)
-        assert rows[0].ber == pytest.approx(EXACT_BER_SWEEP[6.0], rel=1e-9)
+        assert rows[0].ber == pytest.approx(EXACT_BER_SWEEP[6.0], rel=1e-9,
+                                            abs=0)
 
     def test_fsk_rows(self):
         cfg = small_cfg(scheme="FSK")
         rows = theory_points(cfg, 6.0)
         ch = channel_for_snr(cfg, 6.0)
         gb = snr_per_bit(ch, cfg.n_chips, cfg.m_sc)
-        assert rows[1].ber == pytest.approx(fsk_coherent_ber(gb), rel=1e-12)
+        assert rows[1].ber == pytest.approx(fsk_coherent_ber(gb), rel=1e-12,
+                                            abs=0)
         # FSK spends half its chips on the distinguishing tone
         p = DetectionParams(m_sc=cfg.m_sc, n_chips=cfg.n_chips // 2,
                             h_on_sq=abs(composite_gain(ch, +1)) ** 2,
                             h_off_sq=abs(composite_gain(ch, -1)) ** 2,
                             noise_power=ch.noise_power)
-        assert rows[0].ber == pytest.approx(exact_ber(p), rel=1e-12)
+        assert rows[0].ber == pytest.approx(exact_ber(p), rel=1e-12, abs=0)
 
     def test_destructive_rows_take_state_order(self, monkeypatch):
         # gamma_b and the Gaussian BER of a row come from the gains in
@@ -226,7 +230,8 @@ class TestTheoryPoints:
         base = theory_points(small_cfg(), 6.0)
         diff = theory_points(small_cfg(scheme="DBPSK"), 6.0)
         p = base[0].ber
-        assert diff[0].ber == pytest.approx(2.0 * p * (1.0 - p), rel=1e-12)
+        assert diff[0].ber == pytest.approx(2.0 * p * (1.0 - p), rel=1e-12,
+                                            abs=0)
 
     def test_fsk_needs_more_energy_than_bpsk(self):
         pb = theory_points(small_cfg(), 6.0)[0].ber
@@ -278,7 +283,7 @@ class TestSweep:
         pts = run_ber_sweep(small_cfg())
         ch = channel_for_snr(small_cfg(), 6.0)
         gb_db = 10.0 * math.log10(snr_per_bit(ch, 4, 288))
-        assert all(p.gamma_b_db == pytest.approx(gb_db, rel=1e-12)
+        assert all(p.gamma_b_db == pytest.approx(gb_db, rel=1e-12, abs=0)
                    for p in pts)
 
 
@@ -333,7 +338,7 @@ class TestMeasurementConfig:
         lam = SPEED_OF_LIGHT / 2560e6
         for h, d in ((ch.h_d, 0.83), (ch.h_s, 0.45), (ch.h_b, 0.65)):
             assert abs(h) == pytest.approx(lam / (4.0 * math.pi * d),
-                                           rel=1e-12)
+                                           rel=1e-12, abs=0)
 
     def test_geometry_is_destructive(self):
         cfg = measurement_config((6.0,))
@@ -366,7 +371,7 @@ class TestReplicateMeasurement:
         assert all(p.gamma_b_db == 8.0 for p in points)
         theory = [p for p in points if p.receiver == "theory"][0]
         assert theory.ber == pytest.approx(fsk_coherent_ber(from_db(8.0)),
-                                           rel=1e-12)
+                                           rel=1e-12, abs=0)
         sims = [p for p in points if p.source == "simulation"]
         assert sum(r.sync_ok for r in log) > 0
         assert sims[0].n_bits == PAYLOAD_BITS * sum(r.sync_ok for r in log)

@@ -89,5 +89,5 @@ def test_exact_ber_takes_either_state_order(m_sc, n, on, off, s2):
     assert exact_ber(p) <= 0.5
     assert exact_ber(params_for_scheme(p, "FSK")) \
         == exact_ber(params_for_scheme(q, "FSK"))
-    assert q.gamma_b == pytest.approx(p.gamma_b, rel=1e-12)
-    assert gaussian_ber(q) == pytest.approx(gaussian_ber(p), rel=1e-12)
+    assert q.gamma_b == pytest.approx(p.gamma_b, rel=1e-12, abs=0)
+    assert gaussian_ber(q) == pytest.approx(gaussian_ber(p), rel=1e-12, abs=0)
